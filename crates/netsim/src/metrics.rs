@@ -2,10 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// One `(time, value)` sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Simulation time in seconds.
     pub t: f64,
@@ -14,7 +12,7 @@ pub struct Sample {
 }
 
 /// A named append-only time series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     samples: Vec<Sample>,
 }
@@ -73,7 +71,7 @@ impl TimeSeries {
 }
 
 /// Accumulates byte deliveries and reports achieved bandwidth.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BandwidthMeter {
     deliveries: Vec<(f64, u64)>,
     total_bytes: u64,
@@ -115,7 +113,7 @@ impl BandwidthMeter {
 ///
 /// Used to regenerate the paper's Fig. 12: each controller application's CPU
 /// utilization over time under the flooding attack.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationTracker {
     bucket_width: f64,
     buckets: BTreeMap<u64, f64>,
@@ -179,7 +177,7 @@ impl UtilizationTracker {
 }
 
 /// Central metrics store for one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Recorder {
     /// Named scalar counters.
     pub counters: BTreeMap<String, u64>,

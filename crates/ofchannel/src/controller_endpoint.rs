@@ -11,37 +11,33 @@
 //! # Architecture
 //!
 //! One std thread owns the control plane and a tokio runtime. Every
-//! connection gets three lightweight pieces: a reader task decoding frames
-//! off its socket, a writer task draining a **bounded** per-connection
-//! frame queue, and an entry in the control loop's connection table. The
-//! reader answers echo keepalive on its own and forwards everything else
-//! to the control loop over one shared event channel, so the control plane
-//! (which is `!Sync` by design) stays single-threaded while thousands of
-//! sockets make progress in parallel.
+//! connection is a session — a reader task decoding frames off its socket
+//! (answering echo keepalive on its own) and a writer task draining a
+//! **bounded** frame queue — plus an entry in the control loop's
+//! connection table. Readers forward everything else to the control loop
+//! over one shared event channel, so the control plane (which is `!Sync`
+//! by design) stays single-threaded while thousands of sockets make
+//! progress in parallel.
 //!
-//! Backpressure is two-layered: each connection's send queue is bounded by
-//! [`ChannelConfig::send_queue_cap`], and all queues together draw from a
-//! global budget of [`ControllerConfig::global_send_budget`] in-flight
-//! frames. A slow switch fills its own queue (frames to it drop, counted
-//! as `sends_blocked`); a slow *everything* exhausts the global budget
-//! (counted as `budget_exhausted`) instead of growing memory without
-//! bound.
+//! All send queues together draw from a global budget of
+//! [`ControllerConfig::global_send_budget`] in-flight frames: a slow switch
+//! fills its own queue (counted as `sends_blocked`), a slow *everything*
+//! exhausts the budget (counted as `budget_exhausted`).
 //!
 //! Endpoints either dial a fixed target list ([`ControllerEndpoint::spawn`],
 //! with capped exponential backoff redial) or accept inbound switches on a
 //! listener ([`ControllerEndpoint::listen`], the many-switch shape). Both
-//! preserve the blocking path's semantics: echo keepalive with a liveness
-//! timeout, and post-reconnect flow-mod replay from a bounded per-identity
-//! ring. Because live mode has no simulation engine to synthesize
-//! telemetry, the endpoint periodically assembles a [`Telemetry`] snapshot
-//! from what the controller can legitimately observe and feeds it to the
-//! control plane — this is what arms FloodGuard's detector in live
-//! deployments.
+//! keep echo keepalive with a liveness timeout, and post-reconnect
+//! flow-mod replay from a bounded per-identity ring. Because live mode has
+//! no simulation engine to synthesize telemetry, the endpoint periodically
+//! assembles a [`Telemetry`] snapshot from what the controller can
+//! legitimately observe and feeds it to the control plane — this is what
+//! arms FloodGuard's detector in live deployments.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{Shutdown, SocketAddr};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,13 +48,12 @@ use ofproto::flow_match::OfMatch;
 use ofproto::flow_mod::{FlowMod, FlowModCommand};
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::{DatapathId, Xid};
-use ofproto::wire;
 use parking_lot::Mutex;
 use tokio::sync::mpsc;
 
 use crate::config::{next_backoff, ChannelConfig};
-use crate::conn::SendError;
 use crate::counters::{ChannelCounters, CountersSnapshot};
+use crate::session::{self, Link, SendBudget, SendError, Session};
 use crate::{handshake, parse_device_dpid};
 
 /// Configuration for [`ControllerEndpoint`].
@@ -140,9 +135,7 @@ impl ControllerView {
 
 /// Handle to a control plane served over TCP.
 pub struct ControllerEndpoint {
-    counters: Arc<ChannelCounters>,
-    status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    view: ControllerView,
     shutdown: Arc<AtomicBool>,
     local_addr: Option<SocketAddr>,
     handle: Option<JoinHandle<Box<dyn ControlPlane>>>,
@@ -151,7 +144,7 @@ pub struct ControllerEndpoint {
 impl std::fmt::Debug for ControllerEndpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControllerEndpoint")
-            .field("status", &*self.status.lock())
+            .field("status", &*self.view.status.lock())
             .finish()
     }
 }
@@ -191,27 +184,24 @@ impl ControllerEndpoint {
         peers: Peers,
         config: ControllerConfig,
     ) -> io::Result<ControllerEndpoint> {
-        let counters = Arc::new(ChannelCounters::new());
-        let status = Arc::new(Mutex::new(ControllerStatus::default()));
-        let tables = Arc::new(Mutex::new(HashMap::new()));
+        let view = ControllerView {
+            counters: Arc::new(ChannelCounters::new()),
+            status: Arc::default(),
+            tables: Arc::default(),
+        };
         let shutdown = Arc::new(AtomicBool::new(false));
         let local_addr = match &peers {
             Peers::Dial(_) => None,
             Peers::Listen(listener) => Some(listener.local_addr()?),
         };
         let handle = {
-            let counters = Arc::clone(&counters);
-            let status = Arc::clone(&status);
-            let tables = Arc::clone(&tables);
-            let shutdown = Arc::clone(&shutdown);
+            let (view, shutdown) = (view.clone(), Arc::clone(&shutdown));
             std::thread::Builder::new()
                 .name("ofchannel-controller".to_owned())
-                .spawn(move || run(control, peers, config, counters, status, tables, shutdown))?
+                .spawn(move || run(control, peers, config, view, shutdown))?
         };
         Ok(ControllerEndpoint {
-            counters,
-            status,
-            tables,
+            view,
             shutdown,
             local_addr,
             handle: Some(handle),
@@ -226,26 +216,22 @@ impl ControllerEndpoint {
 
     /// Current transport counters.
     pub fn counters(&self) -> CountersSnapshot {
-        self.counters.snapshot()
+        self.view.counters()
     }
 
     /// The shared counters themselves, for observers that outlive calls.
     pub fn counters_handle(&self) -> Arc<ChannelCounters> {
-        Arc::clone(&self.counters)
+        Arc::clone(&self.view.counters)
     }
 
     /// Current connection table.
     pub fn status(&self) -> ControllerStatus {
-        self.status.lock().clone()
+        self.view.status()
     }
 
     /// A cloneable read-only view for dashboards and the ops surface.
     pub fn view(&self) -> ControllerView {
-        ControllerView {
-            counters: Arc::clone(&self.counters),
-            status: Arc::clone(&self.status),
-            tables: Arc::clone(&self.tables),
-        }
+        self.view.clone()
     }
 
     /// Stops the endpoint and returns the control plane for inspection.
@@ -279,65 +265,6 @@ enum Identity {
     Device(DeviceId),
 }
 
-/// The endpoint-wide pool of in-flight frame permits.
-struct SendBudget {
-    permits: AtomicUsize,
-}
-
-impl SendBudget {
-    fn new(permits: usize) -> Arc<SendBudget> {
-        Arc::new(SendBudget {
-            permits: AtomicUsize::new(permits.max(1)),
-        })
-    }
-
-    fn try_acquire(&self) -> bool {
-        self.permits
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| p.checked_sub(1))
-            .is_ok()
-    }
-
-    fn release(&self) {
-        self.permits.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
-/// Queues encoded frames toward one connection's writer task, enforcing
-/// both the per-connection bound and the global budget.
-#[derive(Clone)]
-struct FrameSender {
-    tx: mpsc::Sender<Bytes>,
-    budget: Arc<SendBudget>,
-    counters: Arc<ChannelCounters>,
-}
-
-impl FrameSender {
-    fn send(&self, msg: &OfMessage) -> Result<(), SendError> {
-        if !self.budget.try_acquire() {
-            self.counters.record_budget_exhausted();
-            return Err(SendError::Backpressure);
-        }
-        let frame = wire::encode(msg);
-        match self.tx.try_send(frame) {
-            Ok(()) => {
-                let depth = self.tx.max_capacity() - self.tx.capacity();
-                self.counters.observe_queue_depth(depth);
-                Ok(())
-            }
-            Err(mpsc::error::TrySendError::Full(_)) => {
-                self.budget.release();
-                self.counters.record_send_blocked();
-                self.counters.observe_queue_depth(self.tx.max_capacity());
-                Err(SendError::Backpressure)
-            }
-            Err(mpsc::error::TrySendError::Closed(_)) => {
-                self.budget.release();
-                Err(SendError::Closed)
-            }
-        }
-    }
-}
-
 /// What connection tasks report to the control loop. Events for one `key`
 /// are ordered: `Connected`, then `Inbound`s, then exactly one `Closed`.
 enum Event {
@@ -345,11 +272,7 @@ enum Event {
         key: u64,
         identity: Identity,
         features: FeaturesReply,
-        sender: FrameSender,
-        /// A dup of the socket kept for liveness-timeout teardown.
-        closer: std::net::TcpStream,
-        /// Milliseconds since the endpoint epoch of the last inbound frame.
-        last_rx: Arc<AtomicU64>,
+        session: Session,
     },
     Inbound {
         key: u64,
@@ -362,9 +285,7 @@ enum Event {
 
 struct ConnState {
     identity: Identity,
-    sender: FrameSender,
-    closer: std::net::TcpStream,
-    last_rx: Arc<AtomicU64>,
+    session: Session,
     last_echo: Instant,
     timed_out: bool,
 }
@@ -375,11 +296,8 @@ const EVENT_CHANNEL_CAP: usize = 4096;
 /// Everything the connection tasks share.
 #[derive(Clone)]
 struct Shared {
-    cfg: ChannelConfig,
-    counters: Arc<ChannelCounters>,
-    budget: Arc<SendBudget>,
+    link: Link,
     events: mpsc::Sender<Event>,
-    epoch: Instant,
     keys: Arc<AtomicU64>,
 }
 
@@ -387,9 +305,7 @@ fn run(
     control: Box<dyn ControlPlane>,
     peers: Peers,
     config: ControllerConfig,
-    counters: Arc<ChannelCounters>,
-    status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    view: ControllerView,
     shutdown: Arc<AtomicBool>,
 ) -> Box<dyn ControlPlane> {
     let rt = tokio::runtime::Builder::new_multi_thread()
@@ -399,11 +315,12 @@ fn run(
         .expect("build controller runtime");
     let (events_tx, events_rx) = mpsc::channel::<Event>(EVENT_CHANNEL_CAP);
     let shared = Shared {
-        cfg: config.channel,
-        counters: Arc::clone(&counters),
-        budget: SendBudget::new(config.global_send_budget),
+        link: Link {
+            cfg: config.channel,
+            counters: Arc::clone(&view.counters),
+            budget: SendBudget::new(config.global_send_budget),
+        },
         events: events_tx,
-        epoch: Instant::now(),
         keys: Arc::new(AtomicU64::new(0)),
     };
     match peers {
@@ -425,30 +342,29 @@ fn run(
     // The control loop holds the only receiver; connection tasks run on
     // the workers while it blocks here.
     drop(shared);
-    let control = rt.block_on(control_loop(
-        control, events_rx, config, counters, status, tables, shutdown,
-    ));
+    let control = rt.block_on(control_loop(control, events_rx, config, view, shutdown));
     drop(rt);
     control
 }
 
 async fn dial_loop(addr: SocketAddr, shared: Shared) {
-    let mut backoff = shared.cfg.reconnect_base;
+    let cfg = shared.link.cfg;
+    let mut backoff = cfg.reconnect_base;
     loop {
-        match dial_once(addr, &shared.cfg).await {
+        match dial_once(addr, &cfg).await {
             Ok((stream, features, residue)) => {
-                backoff = shared.cfg.reconnect_base;
+                backoff = cfg.reconnect_base;
                 if !serve_connection(stream, features, residue, &shared).await {
                     return; // endpoint is gone
                 }
                 // The connection died; pause one base interval before
                 // redialing so a crash-looping peer is not hammered.
-                tokio::time::sleep(shared.cfg.reconnect_base).await;
+                tokio::time::sleep(cfg.reconnect_base).await;
             }
             Err(()) => {
-                shared.counters.record_connect_failure();
+                shared.link.counters.record_connect_failure();
                 tokio::time::sleep(backoff).await;
-                backoff = next_backoff(&shared.cfg, backoff);
+                backoff = next_backoff(&cfg, backoff);
             }
         }
     }
@@ -464,7 +380,7 @@ async fn dial_once(
         Ok(Err(_)) | Err(_) => return Err(()),
     };
     let _ = stream.set_nodelay(true);
-    let (features, residue) = handshake::initiate_async(&mut stream, cfg)
+    let (features, residue) = handshake::initiate(&mut stream, cfg)
         .await
         .map_err(|_| ())?;
     Ok((stream, features, residue))
@@ -480,18 +396,17 @@ async fn accept_loop(listener: tokio::net::TcpListener, shared: Shared) {
         let shared = shared.clone();
         tokio::spawn(async move {
             let _ = stream.set_nodelay(true);
-            match handshake::initiate_async(&mut stream, &shared.cfg).await {
+            match handshake::initiate(&mut stream, &shared.link.cfg).await {
                 Ok((features, residue)) => {
                     serve_connection(stream, features, residue, &shared).await;
                 }
-                Err(_) => shared.counters.record_connect_failure(),
+                Err(_) => shared.link.counters.record_connect_failure(),
             }
         });
     }
 }
 
-/// Runs one handshaken connection to completion: spawns its writer task
-/// and reads frames inline until the socket dies. Returns `false` when the
+/// Runs one handshaken connection to completion. Returns `false` when the
 /// control loop is gone (callers should stop redialing).
 async fn serve_connection(
     stream: tokio::net::TcpStream,
@@ -503,104 +418,21 @@ async fn serve_connection(
         Some(device) => Identity::Device(device),
         None => Identity::Switch(features.datapath_id),
     };
-    let Ok(closer) = stream.try_clone_std() else {
-        return true;
-    };
-    let Ok(local_closer) = stream.try_clone_std() else {
-        return true;
-    };
-    let Ok((mut read_half, mut write_half)) = stream.into_split() else {
+    let Ok((session, reader)) = session::open(stream, residue, &shared.link) else {
         return true;
     };
     let key = shared.keys.fetch_add(1, Ordering::Relaxed);
-    let (tx, mut rx) = mpsc::channel::<Bytes>(shared.cfg.send_queue_cap);
-    let sender = FrameSender {
-        tx,
-        budget: Arc::clone(&shared.budget),
-        counters: Arc::clone(&shared.counters),
-    };
-    let last_rx = Arc::new(AtomicU64::new(shared.epoch.elapsed().as_millis() as u64));
     let connected = Event::Connected {
         key,
         identity,
         features,
-        sender: sender.clone(),
-        closer,
-        last_rx: Arc::clone(&last_rx),
+        session,
     };
-    if shared.events.send(connected).await.is_err() {
-        return false;
-    }
-
-    let writer = {
-        let budget = Arc::clone(&shared.budget);
-        let counters = Arc::clone(&shared.counters);
-        tokio::spawn(async move {
-            while let Some(frame) = rx.recv().await {
-                let result = write_half.write_all(&frame).await;
-                budget.release();
-                match result {
-                    Ok(()) => counters.record_frame_out(frame.len()),
-                    Err(_) => {
-                        // Make sure the reader notices too.
-                        let _ = write_half.shutdown_now(Shutdown::Both);
-                        break;
-                    }
-                }
-            }
-            // Frames still queued when the writer stops hold permits.
-            while rx.try_recv().is_ok() {
-                budget.release();
-            }
-        })
-    };
-
-    let mut buf = residue;
-    let mut chunk = vec![0u8; shared.cfg.read_chunk.max(wire::OFP_HEADER_LEN)];
-    'conn: loop {
-        match wire::decode_frames(&mut buf) {
-            Ok(msgs) => {
-                if !msgs.is_empty() {
-                    last_rx.store(shared.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-                }
-                for msg in msgs {
-                    shared.counters.record_frame_in(wire::wire_len(&msg));
-                    match msg.body {
-                        // Keepalive is answered here so a busy control
-                        // loop cannot fail its own liveness probes.
-                        OfBody::EchoRequest(data) => {
-                            let _ = sender.send(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
-                        }
-                        OfBody::EchoReply(_) => {}
-                        _ => {
-                            if shared
-                                .events
-                                .send(Event::Inbound { key, msg })
-                                .await
-                                .is_err()
-                            {
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                shared.counters.record_decode_error();
-                break;
-            }
-        }
-        match read_half.read(&mut chunk).await {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    // Unblock a writer stuck mid-write and end the peer's read.
-    let _ = local_closer.shutdown(Shutdown::Both);
-    drop(sender);
-    drop(writer);
-    shared.events.send(Event::Closed { key }).await.is_ok()
+    shared.events.send(connected).await.is_ok()
+        && reader
+            .run(&shared.events, |msg| Event::Inbound { key, msg })
+            .await
+        && shared.events.send(Event::Closed { key }).await.is_ok()
 }
 
 #[allow(clippy::too_many_lines)]
@@ -608,11 +440,14 @@ async fn control_loop(
     mut control: Box<dyn ControlPlane>,
     mut events: mpsc::Receiver<Event>,
     config: ControllerConfig,
-    counters: Arc<ChannelCounters>,
-    status: Arc<Mutex<ControllerStatus>>,
-    tables: Arc<Mutex<HashMap<u64, Vec<FlowRuleView>>>>,
+    view: ControllerView,
     shutdown: Arc<AtomicBool>,
 ) -> Box<dyn ControlPlane> {
+    let ControllerView {
+        counters,
+        status,
+        tables,
+    } = view;
     let cfg = config.channel;
     let epoch = Instant::now();
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
@@ -721,24 +556,20 @@ async fn control_loop(
         // Keepalive probes and liveness.
         if last_keepalive.elapsed() >= keepalive_scan {
             last_keepalive = Instant::now();
-            let now_ms = epoch.elapsed().as_millis() as u64;
             for st in conns.values_mut() {
                 if st.last_echo.elapsed() >= cfg.echo_interval {
                     st.last_echo = Instant::now();
                     xid = xid.wrapping_add(1);
                     let _ = st
-                        .sender
+                        .session
                         .send(&OfMessage::new(Xid(xid), OfBody::EchoRequest(Bytes::new())));
                 }
-                let idle = Duration::from_millis(
-                    now_ms.saturating_sub(st.last_rx.load(Ordering::Relaxed)),
-                );
-                if !st.timed_out && idle >= cfg.liveness_timeout {
+                if !st.timed_out && st.session.idle_for() >= cfg.liveness_timeout {
                     st.timed_out = true;
                     counters.record_keepalive_timeout();
                     // The reader observes the shutdown and emits `Closed`,
                     // which performs the bookkeeping exactly once.
-                    let _ = st.closer.shutdown(Shutdown::Both);
+                    st.session.close();
                 }
             }
         }
@@ -793,9 +624,7 @@ fn handle_event(
             key,
             identity,
             features,
-            sender,
-            closer,
-            last_rx,
+            session,
         } => {
             let rejoining = ever.contains(&identity);
             if rejoining {
@@ -814,7 +643,7 @@ fn handle_event(
                     if !ring.is_empty() {
                         counters.record_resync(ring.len());
                         for frame in ring {
-                            match sender.send(frame) {
+                            match session.send(frame) {
                                 Ok(()) | Err(SendError::Backpressure) | Err(SendError::Closed) => {}
                             }
                         }
@@ -825,9 +654,7 @@ fn handle_event(
                 key,
                 ConnState {
                     identity,
-                    sender,
-                    closer,
-                    last_rx,
+                    session,
                     last_echo: Instant::now(),
                     timed_out: false,
                 },
@@ -884,7 +711,7 @@ fn flush(
             mirror_flow_mod(tables, dpid, fm);
         }
         if let Some(st) = target {
-            match st.sender.send(&msg) {
+            match st.session.send(&msg) {
                 Ok(()) | Err(SendError::Backpressure) | Err(SendError::Closed) => {}
             }
         }

@@ -1,9 +1,9 @@
 //! Per-endpoint transport counters.
 //!
 //! Shared by every connection an endpoint owns and updated lock-free from
-//! the reader/writer threads, so tests and operators can observe channel
-//! health (decode errors from hostile bytes, backpressure under flood,
-//! reconnect churn) without stopping the endpoint.
+//! the sessions' reader and writer tasks, so tests and operators can
+//! observe channel health (decode errors from hostile bytes, backpressure
+//! under flood, reconnect churn) without stopping the endpoint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

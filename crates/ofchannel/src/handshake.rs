@@ -1,17 +1,17 @@
 //! The OpenFlow 1.0 session handshake.
 //!
-//! Runs synchronously on the fresh stream before the reader/writer threads
-//! take over: `HELLO` exchange, then `FEATURES_REQUEST`/`FEATURES_REPLY`.
-//! The features reply is the identity step — its `datapath_id` tells the
-//! controller which switch (or, with [`crate::DEVICE_DPID_FLAG`], which
-//! data-plane cache) it is talking to.
+//! Runs on the fresh stream before the session takes over:
+//! `HELLO` exchange, then `FEATURES_REQUEST`/`FEATURES_REPLY`. The features
+//! reply is the identity step — its `datapath_id` tells the controller
+//! which switch (or, with [`crate::DEVICE_DPID_FLAG`], which data-plane
+//! cache) it is talking to.
 //!
 //! Both sides tolerate reordering and keepalive probes mid-handshake, and
-//! both return the bytes they over-read so the connection's reader thread
-//! can pick up exactly where the handshake stopped.
+//! both return the bytes they over-read so the session's reader can pick up
+//! exactly where the handshake stopped. Every read and write is bounded by
+//! [`ChannelConfig::handshake_timeout`](crate::ChannelConfig), so a
+//! handshake in progress never blocks a runtime worker.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -72,22 +72,18 @@ impl From<DecodeError> for HandshakeError {
 /// # Errors
 ///
 /// Any [`HandshakeError`]; the stream should be discarded on failure.
-pub fn initiate(
-    stream: &mut TcpStream,
+pub async fn initiate(
+    stream: &mut tokio::net::TcpStream,
     config: &ChannelConfig,
 ) -> Result<(FeaturesReply, BytesMut), HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg(stream, &OfMessage::new(Xid(0), OfBody::Hello))?;
-    write_msg(stream, &OfMessage::new(Xid(1), OfBody::FeaturesRequest))?;
-    let mut buf = BytesMut::new();
+    let mut hs = Exchange::new(stream, config);
+    hs.send(OfMessage::new(Xid(0), OfBody::Hello)).await?;
+    hs.send(OfMessage::new(Xid(1), OfBody::FeaturesRequest))
+        .await?;
     loop {
-        let msg = read_frame(stream, &mut buf, deadline)?;
-        match msg.body {
+        match hs.next().await?.body {
             OfBody::Hello => {}
-            OfBody::EchoRequest(data) => {
-                write_msg(stream, &OfMessage::new(msg.xid, OfBody::EchoReply(data)))?;
-            }
-            OfBody::FeaturesReply(features) => return Ok((features, buf)),
+            OfBody::FeaturesReply(features) => return Ok((features, hs.buf)),
             _ => return Err(HandshakeError::Unexpected("message")),
         }
     }
@@ -101,162 +97,67 @@ pub fn initiate(
 /// # Errors
 ///
 /// Any [`HandshakeError`]; the stream should be discarded on failure.
-pub fn accept(
-    stream: &mut TcpStream,
+pub async fn accept(
+    stream: &mut tokio::net::TcpStream,
     features: &FeaturesReply,
     config: &ChannelConfig,
 ) -> Result<BytesMut, HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg(stream, &OfMessage::new(Xid(0), OfBody::Hello))?;
-    let mut buf = BytesMut::new();
+    let mut hs = Exchange::new(stream, config);
+    hs.send(OfMessage::new(Xid(0), OfBody::Hello)).await?;
     let mut saw_hello = false;
     loop {
-        let msg = read_frame(stream, &mut buf, deadline)?;
+        let msg = hs.next().await?;
         match msg.body {
             OfBody::Hello => saw_hello = true,
-            OfBody::EchoRequest(data) => {
-                write_msg(stream, &OfMessage::new(msg.xid, OfBody::EchoReply(data)))?;
+            OfBody::FeaturesRequest if saw_hello => {
+                let reply = OfBody::FeaturesReply(features.clone());
+                hs.send(OfMessage::new(msg.xid, reply)).await?;
+                return Ok(hs.buf);
             }
             OfBody::FeaturesRequest => {
-                if !saw_hello {
-                    return Err(HandshakeError::Unexpected("features_request before hello"));
-                }
-                write_msg(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::FeaturesReply(features.clone())),
-                )?;
-                return Ok(buf);
+                return Err(HandshakeError::Unexpected("features_request before hello"))
             }
             _ => return Err(HandshakeError::Unexpected("message")),
         }
     }
 }
 
-fn write_msg(stream: &mut TcpStream, msg: &OfMessage) -> Result<(), HandshakeError> {
-    stream.write_all(&wire::encode(msg))?;
-    Ok(())
-}
-
-/// Reads exactly one frame, leaving any extra bytes in `buf`.
-fn read_frame(
-    stream: &mut TcpStream,
-    buf: &mut BytesMut,
+/// One side of a handshake in progress: its stream, the bytes read past
+/// the last frame, and the deadline every read and write must meet.
+struct Exchange<'a> {
+    stream: &'a mut tokio::net::TcpStream,
+    buf: BytesMut,
     deadline: Instant,
-) -> Result<OfMessage, HandshakeError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(len) = wire::frame_len(&buf[..])? {
-            if buf.len() >= len {
-                let frame = buf.split_to(len);
-                return Ok(wire::decode(&frame[..])?);
-            }
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HandshakeError::Timeout);
-        }
-        // An almost-expired deadline can round to a zero Duration, which
-        // `set_read_timeout` rejects with InvalidInput; clamp to 1 ms so the
-        // edge reads as a (near-immediate) timeout, not an I/O error.
-        let remaining = (deadline - now).max(Duration::from_millis(1));
-        stream.set_read_timeout(Some(remaining))?;
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HandshakeError::Eof),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HandshakeError::Timeout);
-            }
-            Err(e) => return Err(HandshakeError::Io(e)),
-        }
-    }
 }
 
-/// Controller side over an async stream: sends `HELLO` +
-/// `FEATURES_REQUEST`, waits for the peer's `FEATURES_REPLY`.
-///
-/// The async twin of [`initiate`], used by the async
-/// [`crate::controller_endpoint::ControllerEndpoint`] so a handshake in
-/// progress never blocks a runtime worker.
-///
-/// # Errors
-///
-/// Any [`HandshakeError`]; the stream should be discarded on failure.
-pub async fn initiate_async(
-    stream: &mut tokio::net::TcpStream,
-    config: &ChannelConfig,
-) -> Result<(FeaturesReply, BytesMut), HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg_async(stream, &OfMessage::new(Xid(0), OfBody::Hello), deadline).await?;
-    write_msg_async(
-        stream,
-        &OfMessage::new(Xid(1), OfBody::FeaturesRequest),
-        deadline,
-    )
-    .await?;
-    let mut buf = BytesMut::new();
-    loop {
-        let msg = read_frame_async(stream, &mut buf, deadline).await?;
-        match msg.body {
-            OfBody::Hello => {}
-            OfBody::EchoRequest(data) => {
-                write_msg_async(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::EchoReply(data)),
-                    deadline,
-                )
-                .await?;
-            }
-            OfBody::FeaturesReply(features) => return Ok((features, buf)),
-            _ => return Err(HandshakeError::Unexpected("message")),
+impl Exchange<'_> {
+    fn new<'a>(stream: &'a mut tokio::net::TcpStream, config: &ChannelConfig) -> Exchange<'a> {
+        Exchange {
+            stream,
+            buf: BytesMut::new(),
+            deadline: Instant::now() + config.handshake_timeout,
         }
     }
-}
 
-/// Switch/device side over an async stream: sends `HELLO`, answers the
-/// peer's `FEATURES_REQUEST` with `features`.
-///
-/// The async twin of [`accept`], used by simulated switch swarms.
-///
-/// # Errors
-///
-/// Any [`HandshakeError`]; the stream should be discarded on failure.
-pub async fn accept_async(
-    stream: &mut tokio::net::TcpStream,
-    features: &FeaturesReply,
-    config: &ChannelConfig,
-) -> Result<BytesMut, HandshakeError> {
-    let deadline = Instant::now() + config.handshake_timeout;
-    write_msg_async(stream, &OfMessage::new(Xid(0), OfBody::Hello), deadline).await?;
-    let mut buf = BytesMut::new();
-    let mut saw_hello = false;
-    loop {
-        let msg = read_frame_async(stream, &mut buf, deadline).await?;
-        match msg.body {
-            OfBody::Hello => saw_hello = true,
-            OfBody::EchoRequest(data) => {
-                write_msg_async(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::EchoReply(data)),
-                    deadline,
-                )
-                .await?;
-            }
-            OfBody::FeaturesRequest => {
-                if !saw_hello {
-                    return Err(HandshakeError::Unexpected("features_request before hello"));
+    async fn send(&mut self, msg: OfMessage) -> Result<(), HandshakeError> {
+        let frame = wire::encode(&msg);
+        match tokio::time::timeout(remaining(self.deadline)?, self.stream.write_all(&frame)).await {
+            Ok(result) => Ok(result?),
+            Err(_) => Err(HandshakeError::Timeout),
+        }
+    }
+
+    /// The next frame, answering keepalive probes on the way.
+    async fn next(&mut self) -> Result<OfMessage, HandshakeError> {
+        loop {
+            let msg = read_frame(self.stream, &mut self.buf, self.deadline).await?;
+            match msg.body {
+                OfBody::EchoRequest(data) => {
+                    self.send(OfMessage::new(msg.xid, OfBody::EchoReply(data)))
+                        .await?;
                 }
-                write_msg_async(
-                    stream,
-                    &OfMessage::new(msg.xid, OfBody::FeaturesReply(features.clone())),
-                    deadline,
-                )
-                .await?;
-                return Ok(buf);
+                _ => return Ok(msg),
             }
-            _ => return Err(HandshakeError::Unexpected("message")),
         }
     }
 }
@@ -269,21 +170,8 @@ fn remaining(deadline: Instant) -> Result<Duration, HandshakeError> {
     Ok(deadline - now)
 }
 
-async fn write_msg_async(
-    stream: &mut tokio::net::TcpStream,
-    msg: &OfMessage,
-    deadline: Instant,
-) -> Result<(), HandshakeError> {
-    let frame = wire::encode(msg);
-    match tokio::time::timeout(remaining(deadline)?, stream.write_all(&frame)).await {
-        Ok(result) => Ok(result?),
-        Err(_) => Err(HandshakeError::Timeout),
-    }
-}
-
-/// Reads exactly one frame from an async stream, leaving extra bytes in
-/// `buf`.
-async fn read_frame_async(
+/// Reads exactly one frame, leaving any extra bytes in `buf`.
+async fn read_frame(
     stream: &mut tokio::net::TcpStream,
     buf: &mut BytesMut,
     deadline: Instant,
@@ -308,9 +196,8 @@ async fn read_frame_async(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use ofproto::types::{DatapathId, PortNo};
-    use std::net::TcpListener;
-    use std::time::Duration;
 
     fn features() -> FeaturesReply {
         FeaturesReply {
@@ -321,151 +208,130 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_handshake_completes() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let cfg = ChannelConfig::default();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            accept(&mut stream, &features(), &ChannelConfig::default()).unwrap()
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (reply, residue) = initiate(&mut client, &cfg).unwrap();
-        assert_eq!(reply, features());
-        assert!(residue.is_empty());
-        let server_residue = server.join().unwrap();
-        assert!(server_residue.is_empty());
-    }
-
-    #[test]
-    fn garbage_peer_fails_decode() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            // Consume the client's HELLO + FEATURES_REQUEST and hold the
-            // stream open until the client is done, so no RST races the
-            // garbage delivery.
-            let mut hello_and_features = [0u8; 16];
-            stream.read_exact(&mut hello_and_features).unwrap();
-            stream.write_all(&[0xff; 32]).unwrap();
-            let mut sink = [0u8; 64];
-            while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        let cfg = ChannelConfig::default();
-        match initiate(&mut client, &cfg) {
-            Err(HandshakeError::Decode(_)) => {}
-            other => panic!("expected decode error, got {other:?}"),
-        }
-        drop(client);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn silent_peer_times_out() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let cfg = ChannelConfig {
+    fn quick() -> ChannelConfig {
+        ChannelConfig {
             handshake_timeout: Duration::from_millis(100),
             ..ChannelConfig::default()
-        };
-        match initiate(&mut client, &cfg) {
-            Err(HandshakeError::Timeout) => {}
-            other => panic!("expected timeout, got {other:?}"),
         }
-        // Keep the listener alive so the connect cannot be refused.
-        drop(listener);
     }
 
-    /// Regression: a deadline that is almost expired when `read_frame`
-    /// computes the remaining budget used to produce a zero (or sub-tick)
-    /// `Duration`, which `set_read_timeout` either rejects with
-    /// `InvalidInput` or treats as "block forever". Both must surface as
-    /// [`HandshakeError::Timeout`], promptly.
+    fn block_on<F: std::future::Future>(future: F) -> F::Output {
+        tokio::runtime::Runtime::new().unwrap().block_on(future)
+    }
+
+    /// A listener plus a client dialed into its backlog.
+    async fn dial() -> (tokio::net::TcpListener, tokio::net::TcpStream) {
+        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let client = tokio::net::TcpStream::connect(listener.local_addr().unwrap())
+            .await
+            .unwrap();
+        (listener, client)
+    }
+
+    /// Keepalive probes mid-handshake are answered, and a frame the peer
+    /// pipelines right behind its last handshake message comes back as
+    /// residue instead of being lost.
     #[test]
-    fn almost_expired_deadline_is_timeout_not_io() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let started = std::time::Instant::now();
-        for pad_ns in [0u64, 100, 10_000, 500_000] {
-            let deadline = Instant::now() + Duration::from_nanos(pad_ns);
-            let mut buf = BytesMut::new();
-            match read_frame(&mut client, &mut buf, deadline) {
-                Err(HandshakeError::Timeout) => {}
-                other => panic!("pad {pad_ns}ns: expected timeout, got {other:?}"),
+    fn full_handshake_completes() {
+        block_on(async {
+            let (listener, mut client) = dial().await;
+            let (mut switch, _) = listener.accept().await.unwrap();
+            let probe = OfBody::EchoRequest(Bytes::from_static(b"ka"));
+            let pipelined = OfMessage::new(Xid(9), OfBody::BarrierRequest);
+            let mut frames = BytesMut::new();
+            for body in [OfBody::Hello, probe, OfBody::FeaturesReply(features())] {
+                frames.extend_from_slice(&wire::encode(&OfMessage::new(Xid(5), body)));
             }
-        }
-        // "Block forever" would hang well past this bound.
-        assert!(started.elapsed() < Duration::from_secs(2));
-        drop(listener);
+            frames.extend_from_slice(&wire::encode(&pipelined));
+            switch.write_all(&frames).await.unwrap();
+
+            let cfg = ChannelConfig::default();
+            let (reply, mut residue) = initiate(&mut client, &cfg).await.unwrap();
+            assert_eq!(reply, features());
+            assert_eq!(wire::decode_frames(&mut residue).unwrap(), vec![pipelined]);
+            // HELLO, FEATURES_REQUEST, then the answer to the probe.
+            let (mut buf, deadline) = (BytesMut::new(), Instant::now() + cfg.handshake_timeout);
+            for _ in 0..2 {
+                read_frame(&mut switch, &mut buf, deadline).await.unwrap();
+            }
+            let answer = read_frame(&mut switch, &mut buf, deadline).await.unwrap();
+            assert_eq!(answer.body, OfBody::EchoReply(Bytes::from_static(b"ka")));
+        });
     }
 
     #[test]
     fn async_handshake_completes() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        rt.block_on(async {
-            let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
-            let addr = listener.local_addr().unwrap();
+        block_on(async {
+            let (listener, mut client) = dial().await;
             let server = tokio::spawn(async move {
                 let (mut stream, _) = listener.accept().await.unwrap();
-                accept_async(&mut stream, &features(), &ChannelConfig::default())
-                    .await
-                    .unwrap()
+                accept(&mut stream, &features(), &ChannelConfig::default()).await
             });
-            let mut client = tokio::net::TcpStream::connect(addr).await.unwrap();
-            let cfg = ChannelConfig::default();
-            let (reply, residue) = initiate_async(&mut client, &cfg).await.unwrap();
+            let (reply, residue) = initiate(&mut client, &ChannelConfig::default())
+                .await
+                .unwrap();
             assert_eq!(reply, features());
             assert!(residue.is_empty());
-            let server_residue = server.await.unwrap();
-            assert!(server_residue.is_empty());
+            assert!(server.await.unwrap().unwrap().is_empty());
+        });
+    }
+
+    #[test]
+    fn garbage_peer_fails_decode() {
+        block_on(async {
+            let (listener, mut client) = dial().await;
+            // The peer stays open until the client is done, so no RST
+            // races the garbage delivery.
+            let (mut peer, _) = listener.accept().await.unwrap();
+            peer.write_all(&[0xff; 32]).await.unwrap();
+            match initiate(&mut client, &ChannelConfig::default()).await {
+                Err(HandshakeError::Decode(_)) => {}
+                other => panic!("expected decode error, got {other:?}"),
+            }
+        });
+    }
+
+    /// The switch side gives up on a controller that dials and then says
+    /// nothing.
+    #[test]
+    fn silent_peer_times_out() {
+        block_on(async {
+            let (_listener, mut client) = dial().await;
+            match accept(&mut client, &features(), &quick()).await {
+                Err(HandshakeError::Timeout) => {}
+                other => panic!("expected timeout, got {other:?}"),
+            }
         });
     }
 
     #[test]
     fn async_silent_peer_times_out() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        rt.block_on(async {
-            let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut client = tokio::net::TcpStream::connect(addr).await.unwrap();
-            let cfg = ChannelConfig {
-                handshake_timeout: Duration::from_millis(100),
-                ..ChannelConfig::default()
-            };
-            match initiate_async(&mut client, &cfg).await {
+        block_on(async {
+            let (_listener, mut client) = dial().await;
+            match initiate(&mut client, &quick()).await {
                 Err(HandshakeError::Timeout) => {}
                 other => panic!("expected timeout, got {other:?}"),
             }
-            drop(listener);
         });
     }
 
-    /// The async accept path must interoperate with the blocking initiate
-    /// path (and vice versa) — the swarm and the legacy `SwitchEndpoint`
-    /// share one wire protocol.
+    /// A deadline that is already past, or expires within the read, must
+    /// surface as [`HandshakeError::Timeout`] promptly — never as an I/O
+    /// error and never as a read that blocks forever.
     #[test]
-    fn blocking_initiate_async_accept_interop() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut stream = rt.block_on(async { tokio::net::TcpStream::from_std(stream) })?;
-            rt.block_on(accept_async(
-                &mut stream,
-                &features(),
-                &ChannelConfig::default(),
-            ))
+    fn almost_expired_deadline_is_timeout_not_io() {
+        block_on(async {
+            let (_listener, mut client) = dial().await;
+            let started = Instant::now();
+            for pad_ns in [0u64, 100, 10_000, 500_000] {
+                let deadline = Instant::now() + Duration::from_nanos(pad_ns);
+                match read_frame(&mut client, &mut BytesMut::new(), deadline).await {
+                    Err(HandshakeError::Timeout) => {}
+                    other => panic!("pad {pad_ns}ns: expected timeout, got {other:?}"),
+                }
+            }
+            // "Block forever" would hang well past this bound.
+            assert!(started.elapsed() < Duration::from_secs(2));
         });
-        let mut client = TcpStream::connect(addr).unwrap();
-        let cfg = ChannelConfig::default();
-        let (reply, _) = initiate(&mut client, &cfg).unwrap();
-        assert_eq!(reply, features());
-        server.join().unwrap().unwrap();
     }
 }

@@ -4,13 +4,13 @@
 //! discrete-event simulation; this crate runs the same components over real
 //! TCP sockets. It provides:
 //!
-//! * [`conn::Connection`] — one framed connection: a reader thread driving
-//!   [`ofproto::wire::decode_frames`] over the byte stream and a writer
-//!   thread draining a **bounded** send queue, so a peer that stops reading
-//!   surfaces as explicit [`conn::SendError::Backpressure`] instead of
-//!   unbounded buffering.
-//! * [`handshake`] — the synchronous `HELLO` → `FEATURES` exchange that
-//!   opens every session and identifies the peer.
+//! * [`handshake`] — the `HELLO` → `FEATURES` exchange that opens every
+//!   session and identifies the peer.
+//! * `session` — one framed connection on the async runtime: a reader task
+//!   driving [`ofproto::wire::decode_frames`] over the byte stream and a
+//!   writer task draining a **bounded** send queue, so a peer that stops
+//!   reading surfaces as explicit [`SendError::Backpressure`] instead of
+//!   unbounded buffering. Both endpoints serve every connection with it.
 //! * [`switch_endpoint::SwitchEndpoint`] — a [`netsim::switch::Switch`]
 //!   (plus attached data-plane devices) served from a listening socket,
 //!   the way Open vSwitch serves a bridge in `ptcp` mode.
@@ -30,20 +30,20 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod conn;
 pub mod controller_endpoint;
 pub mod counters;
 pub mod handshake;
 pub mod obs;
+mod session;
 pub mod swarm;
 pub mod switch_endpoint;
 
 pub use config::ChannelConfig;
-pub use conn::{wake_channel, CloseReason, ConnEvent, Connection, SendError, WakeHandle};
 pub use controller_endpoint::{
     ControllerConfig, ControllerEndpoint, ControllerStatus, ControllerView, FlowRuleView,
 };
 pub use counters::{ChannelCounters, CountersSnapshot};
+pub use session::SendError;
 pub use swarm::{run_swarm, SwarmConfig, SwarmReport};
 pub use switch_endpoint::SwitchEndpoint;
 

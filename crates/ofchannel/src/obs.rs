@@ -1,72 +1,64 @@
 //! Bridge from [`ChannelCounters`](crate::counters::ChannelCounters) to the
 //! workspace observability hub.
 //!
-//! The transport threads already keep lock-free counters per endpoint;
-//! [`ChannelObs`] registers matching gauges against an [`obs::Registry`] and
-//! mirrors a [`CountersSnapshot`] into them on demand (pull model — call
+//! The sessions already keep lock-free counters per endpoint;
+//! [`ChannelObs`] registers matching metrics against an [`obs::Registry`]
+//! and advances them to a [`CountersSnapshot`] on demand (pull model — call
 //! [`ChannelObs::publish`] from whatever cadence the harness uses, e.g. each
-//! poll loop). Unlike the simulated layers these values advance on the real
-//! clock, so they are excluded from determinism-gated timelines and serve
-//! live-mode dashboards instead.
+//! poll loop). Monotonic totals become [`obs::Counter`]s, so Prometheus
+//! `rate()` works on them; the queue high-water mark is a gauge. Unlike the
+//! simulated layers these values advance on the real clock, so they are
+//! excluded from determinism-gated timelines and serve live-mode dashboards
+//! instead.
 
 use crate::counters::CountersSnapshot;
 
-/// Obs gauges for one endpoint's transport counters.
+/// Reads one monotonic total out of a snapshot.
+type Total = fn(&CountersSnapshot) -> u64;
+
+/// The monotonic totals of a [`CountersSnapshot`], by metric name.
+const TOTALS: [(&str, Total); 12] = [
+    ("frames_in", |s| s.frames_in),
+    ("frames_out", |s| s.frames_out),
+    ("bytes_in", |s| s.bytes_in),
+    ("bytes_out", |s| s.bytes_out),
+    ("decode_errors", |s| s.decode_errors),
+    ("reconnects", |s| s.reconnects),
+    ("connect_failures", |s| s.connect_failures),
+    ("sends_blocked", |s| s.sends_blocked),
+    ("keepalive_timeouts", |s| s.keepalive_timeouts),
+    ("resyncs", |s| s.resyncs),
+    ("frames_replayed", |s| s.frames_replayed),
+    ("budget_exhausted", |s| s.budget_exhausted),
+];
+
+/// Obs metrics for one endpoint's transport counters.
 #[derive(Debug, Clone)]
 pub struct ChannelObs {
-    frames_in: obs::Gauge,
-    frames_out: obs::Gauge,
-    bytes_in: obs::Gauge,
-    bytes_out: obs::Gauge,
-    decode_errors: obs::Gauge,
-    reconnects: obs::Gauge,
-    connect_failures: obs::Gauge,
-    sends_blocked: obs::Gauge,
+    totals: Vec<obs::Counter>,
     send_queue_hwm: obs::Gauge,
-    keepalive_timeouts: obs::Gauge,
-    resyncs: obs::Gauge,
-    frames_replayed: obs::Gauge,
-    budget_exhausted: obs::Gauge,
 }
 
 impl ChannelObs {
-    /// Registers gauges named `<prefix>.frames_in`, `<prefix>.reconnects`
+    /// Registers metrics named `<prefix>.frames_in`, `<prefix>.reconnects`
     /// etc. against `registry`. Use a distinct prefix per endpoint (e.g.
     /// `"ofchannel.switch"` / `"ofchannel.ctrl"`).
     pub fn new(registry: &obs::Registry, prefix: &str) -> ChannelObs {
-        let g = |field: &str| registry.gauge(&format!("{prefix}.{field}"));
         ChannelObs {
-            frames_in: g("frames_in"),
-            frames_out: g("frames_out"),
-            bytes_in: g("bytes_in"),
-            bytes_out: g("bytes_out"),
-            decode_errors: g("decode_errors"),
-            reconnects: g("reconnects"),
-            connect_failures: g("connect_failures"),
-            sends_blocked: g("sends_blocked"),
-            send_queue_hwm: g("send_queue_hwm"),
-            keepalive_timeouts: g("keepalive_timeouts"),
-            resyncs: g("resyncs"),
-            frames_replayed: g("frames_replayed"),
-            budget_exhausted: g("budget_exhausted"),
+            totals: TOTALS
+                .iter()
+                .map(|(name, _)| registry.counter(&format!("{prefix}.{name}")))
+                .collect(),
+            send_queue_hwm: registry.gauge(&format!("{prefix}.send_queue_hwm")),
         }
     }
 
-    /// Mirrors `snap` into the registered gauges.
+    /// Advances the registered metrics to `snap`.
     pub fn publish(&self, snap: &CountersSnapshot) {
-        self.frames_in.set(snap.frames_in as f64);
-        self.frames_out.set(snap.frames_out as f64);
-        self.bytes_in.set(snap.bytes_in as f64);
-        self.bytes_out.set(snap.bytes_out as f64);
-        self.decode_errors.set(snap.decode_errors as f64);
-        self.reconnects.set(snap.reconnects as f64);
-        self.connect_failures.set(snap.connect_failures as f64);
-        self.sends_blocked.set(snap.sends_blocked as f64);
+        for (counter, (_, total)) in self.totals.iter().zip(TOTALS) {
+            counter.add(total(snap).saturating_sub(counter.get()));
+        }
         self.send_queue_hwm.set(snap.send_queue_hwm as f64);
-        self.keepalive_timeouts.set(snap.keepalive_timeouts as f64);
-        self.resyncs.set(snap.resyncs as f64);
-        self.frames_replayed.set(snap.frames_replayed as f64);
-        self.budget_exhausted.set(snap.budget_exhausted as f64);
     }
 }
 
@@ -89,13 +81,24 @@ mod tests {
             ..CountersSnapshot::default()
         };
         bridge.publish(&snap);
-        assert_eq!(hub.registry.gauge("ofchannel.switch.frames_in").get(), 7.0);
+        assert_eq!(hub.registry.counter("ofchannel.switch.frames_in").get(), 7);
         assert_eq!(
             hub.registry.gauge("ofchannel.switch.send_queue_hwm").get(),
             9.0
         );
-        assert_eq!(hub.registry.gauge("ofchannel.switch.reconnects").get(), 1.0);
-        // One gauge per snapshot field was registered.
+        assert_eq!(hub.registry.counter("ofchannel.switch.reconnects").get(), 1);
+        // One metric per snapshot field was registered.
         assert_eq!(hub.registry.len(), 13);
+
+        // Publishing again advances to the new totals instead of adding
+        // them, and a repeated snapshot changes nothing.
+        let later = CountersSnapshot {
+            frames_in: 10,
+            ..snap
+        };
+        bridge.publish(&later);
+        bridge.publish(&later);
+        assert_eq!(hub.registry.counter("ofchannel.switch.frames_in").get(), 10);
+        assert_eq!(hub.registry.counter("ofchannel.switch.frames_out").get(), 3);
     }
 }

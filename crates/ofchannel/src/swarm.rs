@@ -3,8 +3,9 @@
 //! Simulates a fleet of OpenFlow switches as lightweight async tasks on
 //! one shared runtime: each task dials the controller, completes the
 //! HELLO/FEATURES handshake as datapath `base + i`, then generates
-//! table-miss `packet_in` traffic at a configured per-switch rate while a
-//! companion reader drains (and echo-answers) the controller's frames.
+//! table-miss `packet_in` traffic at a configured per-switch rate over the
+//! same session code the endpoints use, whose reader drains (and
+//! echo-answers) the controller's frames.
 //!
 //! The driver reports what the paper's scale question needs measured:
 //! connect-to-handshake latency per switch, handshake failures, and the
@@ -16,15 +17,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use netsim::packet::Packet;
 use ofproto::messages::{FeaturesReply, OfBody, OfMessage, PacketIn, PacketInReason};
 use ofproto::types::{DatapathId, MacAddr, PortNo, Xid};
-use ofproto::wire;
 use parking_lot::Mutex;
+use tokio::sync::mpsc;
 
 use crate::config::ChannelConfig;
+use crate::counters::ChannelCounters;
 use crate::handshake;
+use crate::session::{self, Link, SendBudget, SendError, Session};
 
 /// Swarm shape and pacing.
 #[derive(Debug, Clone, Copy)]
@@ -110,9 +112,15 @@ struct SwarmShared {
     connected: AtomicUsize,
     failed: AtomicUsize,
     sent: AtomicU64,
-    frames_in: AtomicU64,
     stop: AtomicBool,
     latencies: Mutex<Vec<Duration>>,
+    /// Shared by every switch's session; its counters tally the
+    /// controller's frames.
+    link: Link,
+    /// Where sessions hand the controller's frames other than echo; they
+    /// are dropped (flow-mods on a simulated switch have no table to land
+    /// in).
+    discard: mpsc::Sender<()>,
 }
 
 /// Runs one swarm against a listening controller at `addr`, blocking until
@@ -127,14 +135,21 @@ pub fn run_swarm(addr: SocketAddr, config: &SwarmConfig) -> std::io::Result<Swar
         .worker_threads(config.worker_threads.max(1))
         .enable_all()
         .build()?;
+    let (discard, mut discarded) = mpsc::channel(1024);
+    rt.spawn(async move { while discarded.recv().await.is_some() {} });
     let shared = Arc::new(SwarmShared {
         cfg: *config,
         connected: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
         sent: AtomicU64::new(0),
-        frames_in: AtomicU64::new(0),
         stop: AtomicBool::new(false),
         latencies: Mutex::new(Vec::with_capacity(config.switches)),
+        link: Link {
+            cfg: config.channel,
+            counters: Arc::new(ChannelCounters::new()),
+            budget: SendBudget::new(usize::MAX),
+        },
+        discard,
     });
 
     for i in 0..config.switches {
@@ -187,13 +202,14 @@ async fn drive(shared: Arc<SwarmShared>) -> std::io::Result<SwarmReport> {
         handshake_failures: shared.failed.load(Ordering::SeqCst),
         connect_latencies: latencies,
         packet_ins_sent: count1 - count0,
-        frames_in: shared.frames_in.load(Ordering::SeqCst),
+        frames_in: shared.link.counters.snapshot().frames_in,
         window,
     })
 }
 
-/// One simulated switch: dial, handshake, then split into a frame-draining
-/// reader and a paced `packet_in` generator.
+/// One simulated switch: dial, handshake, then a session whose reader
+/// drains the controller's frames while a paced generator sends
+/// `packet_in`s.
 async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
     let cfg = shared.cfg;
     tokio::time::sleep(cfg.connect_stagger * index as u32).await;
@@ -209,88 +225,37 @@ async fn switch_task(addr: SocketAddr, index: usize, shared: Arc<SwarmShared>) {
         shared.failed.fetch_add(1, Ordering::SeqCst);
         return;
     };
-    let Ok(residue) = handshake::accept_async(&mut stream, &features, &cfg.channel).await else {
+    let Ok(residue) = handshake::accept(&mut stream, &features, &cfg.channel).await else {
         shared.failed.fetch_add(1, Ordering::SeqCst);
         return;
     };
     shared.latencies.lock().push(started.elapsed());
     shared.connected.fetch_add(1, Ordering::SeqCst);
 
-    let Ok((read_half, write_half)) = stream.into_split() else {
+    let Ok((session, reader)) = session::open(stream, residue, &shared.link) else {
         return;
     };
-    // Echo replies cross from the reader to the writer through a small
-    // queue; the write half stays single-owner.
-    let (reply_tx, mut reply_rx) = tokio::sync::mpsc::channel::<Bytes>(16);
-
-    let reader_shared = Arc::clone(&shared);
-    tokio::task::spawn(async move {
-        reader_loop(read_half, residue, reply_tx, reader_shared).await;
-    });
-
-    sender_loop(write_half, index, &mut reply_rx, &shared).await;
-}
-
-/// Drains controller frames: counts them, answers `echo_request`, discards
-/// the rest (flow-mods installed on a simulated switch have no table to
-/// land in).
-async fn reader_loop(
-    mut read_half: tokio::net::OwnedReadHalf,
-    mut buf: bytes::BytesMut,
-    reply_tx: tokio::sync::mpsc::Sender<Bytes>,
-    shared: Arc<SwarmShared>,
-) {
-    let mut chunk = vec![0u8; 16 * 1024];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let msgs = match wire::decode_frames(&mut buf) {
-            Ok(msgs) => msgs,
-            Err(_) => return,
-        };
-        for msg in msgs {
-            shared.frames_in.fetch_add(1, Ordering::SeqCst);
-            if let OfBody::EchoRequest(data) = msg.body {
-                let reply = wire::encode(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
-                let _ = reply_tx.try_send(reply);
-            }
-        }
-        match tokio::time::timeout(Duration::from_millis(250), read_half.read(&mut chunk)).await {
-            Ok(Ok(0)) | Ok(Err(_)) => return,
-            Ok(Ok(n)) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => {} // timeout: re-check the stop flag
-        }
-    }
+    let discard = shared.discard.clone();
+    tokio::spawn(async move { reader.run(&discard, |_| ()).await });
+    sender_loop(&session, index, &shared).await;
+    session.close();
 }
 
 /// Paces `packet_in` generation at the configured rate; each packet is a
 /// fresh table-miss (unique source per sequence number).
-async fn sender_loop(
-    mut write_half: tokio::net::OwnedWriteHalf,
-    index: usize,
-    reply_rx: &mut tokio::sync::mpsc::Receiver<Bytes>,
-    shared: &SwarmShared,
-) {
+async fn sender_loop(session: &Session, index: usize, shared: &SwarmShared) {
     let interval = Duration::from_secs_f64(1.0 / shared.cfg.pps_per_switch.max(1.0));
     let mut next = Instant::now();
     let mut seq: u64 = 0;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            let _ = write_half.shutdown_now(std::net::Shutdown::Both);
-            return;
-        }
-        while let Ok(reply) = reply_rx.try_recv() {
-            if write_half.write_all(&reply).await.is_err() {
-                return;
-            }
-        }
+    while !shared.stop.load(Ordering::SeqCst) {
         seq += 1;
-        let frame = packet_in_frame(index, seq);
-        if write_half.write_all(&frame).await.is_err() {
-            return;
+        match session.send(&packet_in(index, seq)) {
+            Ok(()) => {
+                shared.sent.fetch_add(1, Ordering::SeqCst);
+            }
+            Err(SendError::Backpressure) => {}
+            Err(SendError::Closed) => return,
         }
-        shared.sent.fetch_add(1, Ordering::SeqCst);
         next += interval;
         let now = Instant::now();
         if next > now {
@@ -314,8 +279,8 @@ fn swarm_features(dpid: u64) -> FeaturesReply {
     }
 }
 
-/// A unique-source UDP table-miss, encoded as a `packet_in` frame.
-fn packet_in_frame(index: usize, seq: u64) -> Bytes {
+/// A unique-source UDP table-miss, as a `packet_in`.
+fn packet_in(index: usize, seq: u64) -> OfMessage {
     let src = 0x0a00_0000u32 | ((index as u32) << 12) | (seq as u32 & 0xfff);
     let pkt = Packet::udp(
         MacAddr::from_u64(0x5_0000_0000 + ((index as u64) << 16) + (seq & 0xffff)),
@@ -334,7 +299,7 @@ fn packet_in_frame(index: usize, seq: u64) -> Bytes {
         reason: PacketInReason::NoMatch,
         data,
     };
-    wire::encode(&OfMessage::new(Xid(seq as u32), OfBody::PacketIn(pi)))
+    OfMessage::new(Xid(seq as u32), OfBody::PacketIn(pi))
 }
 
 #[cfg(test)]

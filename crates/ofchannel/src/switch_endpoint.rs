@@ -15,45 +15,70 @@
 //! uses. Forwards that land on a device port are handed to the device
 //! in-process (the cable between a switch port and its cache is not
 //! modelled as a socket).
+//!
+//! The endpoint runs on its own one-worker runtime with the same session
+//! code as the controller endpoint. One serving task owns the switch and
+//! its devices and waits on a single channel for injected packets, faults
+//! and session events, or until its next timed duty; with one worker,
+//! handing a frame between it and a session costs no cross-thread wake.
 
-use std::net::{SocketAddr, TcpListener};
+use std::collections::{HashMap, HashSet};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use netsim::iface::{DataPlaneDevice, DeviceOutput, SwitchTelemetry};
 use netsim::packet::Packet;
 use netsim::switch::Switch;
 use netsim::Fault;
 use ofproto::flow_match::OfMatch;
-use ofproto::messages::{OfBody, OfMessage};
+use ofproto::messages::{FeaturesReply, OfBody, OfMessage};
 use ofproto::types::Xid;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use tokio::sync::{mpsc, Notify};
 
 use crate::config::ChannelConfig;
-use crate::conn::{wake_channel, ConnEvent, Connection, SendError, WakeHandle};
 use crate::counters::{ChannelCounters, CountersSnapshot};
+use crate::session::{self, Link, SendBudget, SendError, Session};
 use crate::{device_features, handshake};
 
-enum Cmd {
-    Inject { in_port: u16, packet: Packet },
-    Fault(Fault),
+/// Which listener a session came in on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Peer {
+    Controller,
+    /// The attached device at this index.
+    Device(usize),
 }
+
+/// Everything the serving task reacts to. Session events carry the
+/// listener and the session's key (unique per listener), so late events of
+/// a session the serving task already dropped are recognised and ignored.
+enum Cmd {
+    /// A packet entering the data plane at a port.
+    Inject(u16, Packet),
+    Fault(Fault),
+    Shutdown,
+    Connected(Peer, u64, Session),
+    Inbound(Peer, u64, OfMessage),
+    Closed(Peer, u64),
+}
+
+/// Capacity of the serving task's channel. The task drains it every
+/// iteration, so it fills only when the task falls behind; sessions then
+/// wait for room, and so do callers of [`SwitchEndpoint::inject`].
+const CMD_CHANNEL_CAP: usize = 4096;
 
 /// Handle to a switch being served over TCP.
 pub struct SwitchEndpoint {
     switch_addr: SocketAddr,
     device_addrs: Vec<SocketAddr>,
-    cmd_tx: Sender<Cmd>,
-    waker: WakeHandle,
+    cmds: mpsc::Sender<Cmd>,
     counters: Arc<ChannelCounters>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Switch>>,
+    serving: Option<tokio::task::JoinHandle<Switch>>,
+    rt: tokio::runtime::Runtime,
 }
 
 impl std::fmt::Debug for SwitchEndpoint {
@@ -74,81 +99,81 @@ impl SwitchEndpoint {
     ///
     /// # Errors
     ///
-    /// Fails when a listener cannot be bound.
+    /// Fails when a listener cannot be bound or the runtime cannot start.
     pub fn spawn(
         switch: Switch,
         devices: Vec<(u16, Box<dyn DataPlaneDevice>)>,
         config: ChannelConfig,
     ) -> std::io::Result<SwitchEndpoint> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let switch_addr = listener.local_addr()?;
+        let rt = tokio::runtime::Builder::new_multi_thread()
+            .worker_threads(1)
+            .enable_all()
+            .build()?;
+        let counters = Arc::new(ChannelCounters::new());
+        let link = Link {
+            cfg: config,
+            counters: Arc::clone(&counters),
+            // The per-connection queues bind first; the budget never does.
+            budget: SendBudget::new(usize::MAX),
+        };
+        let (cmds, cmd_rx) = mpsc::channel(CMD_CHANNEL_CAP);
+        let listen = |peer: Peer, features: FeaturesReply| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?;
+            let chan = Channel::new();
+            rt.spawn(accept_loop(
+                listener,
+                peer,
+                features,
+                Arc::clone(&chan.gate),
+                link.clone(),
+                cmds.clone(),
+            ));
+            Ok::<_, std::io::Error>((addr, chan))
+        };
 
+        let (switch_addr, control) = listen(Peer::Controller, switch.features())?;
         let mut device_slots = Vec::new();
         let mut device_addrs = Vec::new();
         for (index, (port, logic)) in devices.into_iter().enumerate() {
-            let dev_listener = TcpListener::bind("127.0.0.1:0")?;
-            dev_listener.set_nonblocking(true)?;
-            device_addrs.push(dev_listener.local_addr()?);
+            let (addr, chan) = listen(Peer::Device(index), device_features(index))?;
+            device_addrs.push(addr);
             device_slots.push(DeviceSlot {
-                index,
                 port,
                 logic,
-                listener: dev_listener,
-                conn: None,
-                last_echo: Instant::now(),
+                chan,
                 last_tick: Instant::now(),
-                connected_before: false,
                 down: false,
                 restart_at: None,
             });
         }
 
-        let (cmd_tx, cmd_rx) = channel::unbounded();
-        // One wake channel serves every wake source: connection readers,
-        // `inject`/`inject_fault` callers, and shutdown. The serving loop
-        // blocks on it instead of polling on a fixed interval.
-        let (waker, wake_rx) = wake_channel();
-        let counters = Arc::new(ChannelCounters::new());
         let telemetry = Arc::new(Mutex::new(switch.telemetry(0.0)));
         let flow_rules = Arc::new(Mutex::new(Vec::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let handle = {
-            let counters = Arc::clone(&counters);
-            let telemetry = Arc::clone(&telemetry);
-            let flow_rules = Arc::clone(&flow_rules);
-            let shutdown = Arc::clone(&shutdown);
-            let waker = waker.clone();
-            std::thread::Builder::new()
-                .name(format!("ofchannel-switch-{}", switch.dpid.0))
-                .spawn(move || {
-                    run(
-                        switch,
-                        listener,
-                        device_slots,
-                        config,
-                        cmd_rx,
-                        waker,
-                        wake_rx,
-                        counters,
-                        telemetry,
-                        flow_rules,
-                        shutdown,
-                    )
-                })?
-        };
+        let serving = rt.spawn(run(
+            Served {
+                switch,
+                control,
+                devices: device_slots,
+                faults: FaultState::new(),
+                config,
+                counters: Arc::clone(&counters),
+                xid: 1,
+            },
+            cmd_rx,
+            Arc::clone(&telemetry),
+            Arc::clone(&flow_rules),
+        ));
 
         Ok(SwitchEndpoint {
             switch_addr,
             device_addrs,
-            cmd_tx,
-            waker,
+            cmds,
             counters,
             telemetry,
             flow_rules,
-            shutdown,
-            handle: Some(handle),
+            serving: Some(serving),
+            rt,
         })
     }
 
@@ -164,8 +189,7 @@ impl SwitchEndpoint {
 
     /// Feeds one packet into the data plane at `in_port`.
     pub fn inject(&self, in_port: u16, packet: Packet) {
-        let _ = self.cmd_tx.send(Cmd::Inject { in_port, packet });
-        self.waker.notify();
+        self.submit(Cmd::Inject(in_port, packet));
     }
 
     /// Injects an infrastructure fault — the same [`Fault`] values a
@@ -185,8 +209,7 @@ impl SwitchEndpoint {
     ///   in both directions.
     /// * [`Fault::ControllerStall`] is controller-side and ignored here.
     pub fn inject_fault(&self, fault: Fault) {
-        let _ = self.cmd_tx.send(Cmd::Fault(fault));
-        self.waker.notify();
+        self.submit(Cmd::Fault(fault));
     }
 
     /// Current transport counters.
@@ -208,35 +231,199 @@ impl SwitchEndpoint {
 
     /// Stops serving and returns the switch for inspection.
     pub fn shutdown(mut self) -> Switch {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.notify();
-        self.handle
-            .take()
+        self.stop()
             .expect("endpoint already shut down")
-            .join()
-            .expect("switch endpoint thread panicked")
+            .expect("switch endpoint task panicked")
+    }
+
+    /// Queues `cmd`, waiting for room when the serving task is behind.
+    fn submit(&self, cmd: Cmd) {
+        if let Err(mpsc::error::TrySendError::Full(cmd)) = self.cmds.try_send(cmd) {
+            let _ = self.rt.block_on(self.cmds.send(cmd));
+        }
+    }
+
+    /// Stops the serving task and waits for it; `None` once stopped.
+    fn stop(&mut self) -> Option<Result<Switch, tokio::task::JoinError>> {
+        let serving = self.serving.take()?;
+        self.submit(Cmd::Shutdown);
+        Some(self.rt.block_on(serving))
     }
 }
 
 impl Drop for SwitchEndpoint {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.notify();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        // Dropping the runtime afterwards closes every socket and joins
+        // its threads.
+        let _ = self.stop();
+    }
+}
+
+/// Whether a listener hands dials on to the handshake. Closed while the
+/// switch (or the device) is crashed or the control channel is
+/// partitioned: a dial that lands then waits, as it would in the OS
+/// backlog, and its handshake completes once the gate reopens.
+#[derive(Default)]
+struct Gate {
+    closed: AtomicBool,
+    reopened: Notify,
+}
+
+impl Gate {
+    fn set_open(&self, open: bool) {
+        if self.closed.swap(!open, Ordering::SeqCst) && open {
+            self.reopened.notify_one();
+        }
+    }
+
+    async fn opened(&self) {
+        while self.closed.load(Ordering::SeqCst) {
+            self.reopened.notified().await;
+        }
+    }
+}
+
+/// Accepts dials on one listener for as long as the endpoint runs, giving
+/// each its own session task.
+async fn accept_loop(
+    listener: std::net::TcpListener,
+    peer: Peer,
+    features: FeaturesReply,
+    gate: Arc<Gate>,
+    link: Link,
+    cmds: mpsc::Sender<Cmd>,
+) {
+    let Ok(listener) = tokio::net::TcpListener::from_std(listener) else {
+        return;
+    };
+    for key in 0.. {
+        let Ok((stream, _)) = listener.accept().await else {
+            // Transient accept errors (e.g. fd pressure): back off briefly.
+            tokio::time::sleep(Duration::from_millis(10)).await;
+            continue;
+        };
+        gate.opened().await;
+        let (features, link, cmds) = (features.clone(), link.clone(), cmds.clone());
+        tokio::spawn(async move {
+            serve_session(stream, peer, key, features, link, cmds).await;
+        });
+    }
+}
+
+/// Runs the switch side of the handshake, then the session, reporting its
+/// connect, inbound messages and close to the serving task.
+async fn serve_session(
+    mut stream: tokio::net::TcpStream,
+    peer: Peer,
+    key: u64,
+    features: FeaturesReply,
+    link: Link,
+    cmds: mpsc::Sender<Cmd>,
+) {
+    let _ = stream.set_nodelay(true);
+    let opened = match handshake::accept(&mut stream, &features, &link.cfg).await {
+        Ok(residue) => session::open(stream, residue, &link).ok(),
+        Err(_) => None,
+    };
+    let Some((session, reader)) = opened else {
+        link.counters.record_connect_failure();
+        return;
+    };
+    if cmds.send(Cmd::Connected(peer, key, session)).await.is_ok()
+        && reader.run(&cmds, |msg| Cmd::Inbound(peer, key, msg)).await
+    {
+        let _ = cmds.send(Cmd::Closed(peer, key)).await;
+    }
+}
+
+/// One listener's session state: the controller's, or a device's.
+struct Channel {
+    gate: Arc<Gate>,
+    /// The serving session and its key.
+    live: Option<(u64, Session)>,
+    last_echo: Instant,
+    connected_before: bool,
+}
+
+impl Channel {
+    fn new() -> Channel {
+        Channel {
+            gate: Arc::default(),
+            live: None,
+            last_echo: Instant::now(),
+            connected_before: false,
+        }
+    }
+
+    /// Installs a fresh session, closing any previous one.
+    fn connect(&mut self, key: u64, session: Session, counters: &ChannelCounters) {
+        if self.connected_before {
+            counters.record_reconnect();
+        }
+        self.connected_before = true;
+        self.last_echo = Instant::now();
+        if let Some((_, old)) = self.live.replace((key, session)) {
+            old.close();
+        }
+    }
+
+    fn is_current(&self, key: u64) -> bool {
+        self.live.as_ref().is_some_and(|(k, _)| *k == key)
+    }
+
+    fn close(&mut self) {
+        if let Some((_, session)) = self.live.take() {
+            session.close();
+        }
+    }
+
+    /// Sends if a session is up; backpressure and closure both drop the
+    /// frame (the counters record each backpressure rejection).
+    fn send(&self, msg: &OfMessage) {
+        if let Some((_, session)) = &self.live {
+            match session.send(msg) {
+                Ok(()) | Err(SendError::Backpressure) | Err(SendError::Closed) => {}
+            }
+        }
+    }
+
+    /// Probes the session with `echo_request` every echo interval and
+    /// drops it once the receive side has been silent past the liveness
+    /// timeout.
+    fn keepalive(&mut self, config: &ChannelConfig, counters: &ChannelCounters, xid: &mut u32) {
+        let Some((_, session)) = &self.live else {
+            return;
+        };
+        if self.last_echo.elapsed() >= config.echo_interval {
+            self.last_echo = Instant::now();
+            *xid = xid.wrapping_add(1);
+            self.send(&OfMessage::new(
+                Xid(*xid),
+                OfBody::EchoRequest(bytes::Bytes::new()),
+            ));
+        }
+        if session.idle_for() >= config.liveness_timeout {
+            counters.record_keepalive_timeout();
+            self.close();
+        }
+    }
+
+    /// Time until the next echo probe, when a session is up.
+    fn until_echo(&self, config: &ChannelConfig) -> Duration {
+        match self.live {
+            Some(_) => config
+                .echo_interval
+                .saturating_sub(self.last_echo.elapsed()),
+            None => Duration::MAX,
         }
     }
 }
 
 struct DeviceSlot {
-    index: usize,
     port: u16,
     logic: Box<dyn DataPlaneDevice>,
-    listener: TcpListener,
-    conn: Option<Connection>,
-    last_echo: Instant,
+    chan: Channel,
     last_tick: Instant,
-    connected_before: bool,
     /// Crashed and not yet restarted: packets to it are dropped, ticks
     /// skipped.
     down: bool,
@@ -281,375 +468,252 @@ impl FaultState {
     }
 }
 
+/// Everything the serving task owns.
+struct Served {
+    switch: Switch,
+    /// The controller's session.
+    control: Channel,
+    devices: Vec<DeviceSlot>,
+    faults: FaultState,
+    config: ChannelConfig,
+    counters: Arc<ChannelCounters>,
+    xid: u32,
+}
+
 /// How many data-plane packets one loop iteration may process before
 /// servicing the sockets again; keeps packet_in latency bounded under load.
 const DATAPATH_BUDGET: usize = 512;
 
-/// How many inbound control messages one loop iteration drains per
-/// connection.
+/// How many channel events one loop iteration handles before pumping the
+/// datapath.
 const EVENT_BUDGET: usize = 512;
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    mut switch: Switch,
-    listener: TcpListener,
-    mut devices: Vec<DeviceSlot>,
-    config: ChannelConfig,
-    cmd_rx: Receiver<Cmd>,
-    waker: WakeHandle,
-    wake_rx: Receiver<()>,
-    counters: Arc<ChannelCounters>,
+const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
+const UTIL_INTERVAL: Duration = Duration::from_millis(50);
+
+async fn run(
+    mut sw: Served,
+    mut cmds: mpsc::Receiver<Cmd>,
     telemetry: Arc<Mutex<SwitchTelemetry>>,
     flow_rules: Arc<Mutex<Vec<(OfMatch, u16, u64)>>>,
-    shutdown: Arc<AtomicBool>,
 ) -> Switch {
     let start = Instant::now();
-    let mut conn: Option<Connection> = None;
-    let mut connected_before = false;
-    let mut last_echo = Instant::now();
     let mut last_expire = Instant::now();
-    let mut xid: u32 = 1;
     let mut busy_accum = 0.0_f64;
     let mut last_util_at = Instant::now();
     let mut datapath_util = 0.0_f64;
-    let mut faults = FaultState::new();
-    let mut datapath_pending = false;
+    // Work left from the last iteration: queued packets past the datapath
+    // budget, or events past the event budget.
+    let mut backlog = false;
 
-    while !shutdown.load(Ordering::SeqCst) {
-        let now = start.elapsed().as_secs_f64();
-
-        // Due restarts from earlier crash faults.
-        if faults.switch_down
-            && faults
-                .switch_restart_at
-                .is_some_and(|t| Instant::now() >= t)
-        {
-            faults.switch_down = false;
-            faults.switch_restart_at = None;
-        }
-        for dev in &mut devices {
-            if dev.down && dev.restart_at.is_some_and(|t| Instant::now() >= t) {
-                dev.down = false;
-                dev.restart_at = None;
-                dev.logic.on_restart(now);
-            }
-        }
-
-        // Controller (re)connects — refused while the switch is down or the
-        // control channel is partitioned (the OS backlog may hold the dial;
-        // the handshake simply doesn't complete until we accept again).
-        if !faults.switch_down && !faults.partitioned {
-            accept_controller(
-                &listener,
-                &mut switch,
-                &config,
-                &counters,
-                &mut conn,
-                &mut connected_before,
-                &mut last_echo,
-                &waker,
-            );
-        }
-        for dev in &mut devices {
-            if dev.down {
-                continue;
-            }
-            if let Ok((mut stream, _)) = dev.listener.accept() {
-                let _ = stream.set_nodelay(true);
-                let features = device_features(dev.index);
-                match handshake::accept(&mut stream, &features, &config) {
-                    Ok(residue) => {
-                        match Connection::spawn_with_waker(
-                            stream,
-                            &config,
-                            Arc::clone(&counters),
-                            residue,
-                            Some(waker.clone()),
-                        ) {
-                            Ok(new_conn) => {
-                                if dev.connected_before {
-                                    counters.record_reconnect();
-                                }
-                                dev.connected_before = true;
-                                dev.conn = Some(new_conn);
-                                dev.last_echo = Instant::now();
-                            }
-                            Err(_) => counters.record_connect_failure(),
-                        }
-                    }
-                    Err(_) => counters.record_connect_failure(),
-                }
-            }
-        }
-
-        // Wait for work: an injected command, a connection wake, or the
-        // next timed duty — no fixed-interval polling when idle. Every
-        // wake source (connection readers, `inject`, shutdown) signals the
-        // shared coalescing wake channel; new TCP dials have no wake
-        // source and ride on the wait cap in `next_wait`.
-        let wait = if datapath_pending {
-            Duration::ZERO
+    loop {
+        // Wait for the first event or the next timed duty; with a backlog,
+        // only let the session tasks run first.
+        let mut next = if backlog {
+            tokio::task::yield_now().await;
+            cmds.try_recv().ok()
         } else {
-            next_wait(
-                &config,
-                &conn,
-                &devices,
-                last_echo,
-                last_expire,
-                last_util_at,
-            )
-        };
-        if !wait.is_zero() {
-            let _ = wake_rx.recv_timeout(wait);
-        }
-        let mut next_cmd = cmd_rx.try_recv().ok();
-        while let Some(cmd) = next_cmd.take() {
-            match cmd {
-                Cmd::Inject { in_port, packet } => {
-                    if !faults.switch_down && !faults.link_drops(in_port) {
-                        switch.enqueue(in_port, packet);
-                    }
-                }
-                Cmd::Fault(fault) => {
-                    apply_live_fault(fault, &mut switch, &mut conn, &mut devices, &mut faults);
-                }
+            let wait = sw.next_wait(last_expire, last_util_at);
+            match tokio::time::timeout(wait, cmds.recv()).await {
+                Ok(Some(cmd)) => Some(cmd),
+                Ok(None) => break, // every sender is gone
+                Err(_) => None,
             }
-            next_cmd = cmd_rx.try_recv().ok();
+        };
+        let now = start.elapsed().as_secs_f64();
+        sw.restart_due(now);
+
+        let mut handled = 0;
+        while let Some(cmd) = next.take() {
+            if !sw.handle(cmd, now) {
+                return sw.switch;
+            }
+            handled += 1;
+            if handled < EVENT_BUDGET {
+                next = cmds.try_recv().ok();
+            }
+        }
+        backlog = handled >= EVENT_BUDGET;
+        let faults = &sw.faults;
+        sw.control
+            .gate
+            .set_open(!faults.switch_down && !faults.partitioned);
+        for dev in &sw.devices {
+            dev.chan.gate.set_open(!dev.down);
         }
 
         // Pump the datapath (a crashed switch forwards nothing). When the
         // budget runs out with packets still queued, the next iteration
         // skips its wait.
-        datapath_pending = false;
-        if !faults.switch_down {
+        if !sw.faults.switch_down {
             for _ in 0..DATAPATH_BUDGET {
-                let Some((in_port, packet)) = switch.start_next() else {
+                let Some((in_port, packet)) = sw.switch.start_next() else {
                     break;
                 };
-                let res = switch.process(in_port, packet, now);
+                let res = sw.switch.process(in_port, packet, now);
                 busy_accum += res.service;
-                route_forwards(res.forwards, &mut devices, &mut faults, now);
+                route_forwards(res.forwards, &mut sw.devices, &mut sw.faults, now);
                 if let Some(pi) = res.packet_in {
-                    xid = xid.wrapping_add(1);
-                    send_best_effort(&conn, &OfMessage::new(Xid(xid), OfBody::PacketIn(pi)));
+                    sw.xid = sw.xid.wrapping_add(1);
+                    sw.control
+                        .send(&OfMessage::new(Xid(sw.xid), OfBody::PacketIn(pi)));
                 }
             }
-            datapath_pending = switch.ingress_len() > 0;
+            backlog |= sw.switch.ingress_len() > 0;
         }
 
-        // Control messages from the controller.
-        let mut conn_died = false;
-        if let Some(active) = &conn {
-            for _ in 0..EVENT_BUDGET {
-                match active.try_recv() {
-                    Some(ConnEvent::Message(msg)) => match msg.body {
-                        OfBody::EchoRequest(data) => {
-                            send_best_effort(
-                                &conn,
-                                &OfMessage::new(msg.xid, OfBody::EchoReply(data)),
-                            );
-                        }
-                        OfBody::EchoReply(_) => {}
-                        _ => {
-                            let (forwards, replies) = switch.handle_message(msg, now);
-                            route_forwards(forwards, &mut devices, &mut faults, now);
-                            for reply in replies {
-                                send_best_effort(&conn, &reply);
-                            }
-                        }
-                    },
-                    Some(ConnEvent::Closed(_)) => {
-                        conn_died = true;
-                        break;
-                    }
-                    None => break,
-                }
-            }
-        }
-        if conn_died {
-            conn = None;
-        }
-
-        // Control messages to/from devices, plus their periodic ticks.
-        for dev in &mut devices {
+        // Devices are ticked on a fixed cadence, like the engine's
+        // `DeviceTick` events; a device-requested `next_tick` sooner than
+        // that is honoured too.
+        for dev in &mut sw.devices {
             if dev.down {
                 continue;
             }
-            let mut died = false;
-            if let Some(active) = &dev.conn {
-                for _ in 0..EVENT_BUDGET {
-                    match active.try_recv() {
-                        Some(ConnEvent::Message(msg)) => match msg.body {
-                            OfBody::EchoRequest(data) => {
-                                let _ =
-                                    active.send(&OfMessage::new(msg.xid, OfBody::EchoReply(data)));
-                            }
-                            OfBody::EchoReply(_) => {}
-                            _ => {
-                                let mut out = DeviceOutput::new();
-                                dev.logic.on_message(msg, now, &mut out);
-                                for up in out.to_controller {
-                                    let _ = active.send(&up);
-                                }
-                            }
-                        },
-                        Some(ConnEvent::Closed(_)) => {
-                            died = true;
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if died {
-                dev.conn = None;
-            }
-            // Devices are ticked on a fixed cadence, like the engine's
-            // `DeviceTick` events; a device-requested `next_tick` sooner
-            // than that is honoured too.
-            let due_fixed = dev.last_tick.elapsed() >= config.device_tick_interval;
+            let due_fixed = dev.last_tick.elapsed() >= sw.config.device_tick_interval;
             let due_requested = dev.logic.next_tick(now).is_some_and(|t| t <= now);
             if due_fixed || due_requested {
                 dev.last_tick = Instant::now();
                 let mut out = DeviceOutput::new();
                 dev.logic.on_tick(now, &mut out);
-                if let Some(active) = &dev.conn {
-                    for up in out.to_controller {
-                        let _ = active.send(&up);
-                    }
+                for up in out.to_controller {
+                    dev.chan.send(&up);
                 }
             }
         }
 
         // Flow/buffer expiry.
-        if last_expire.elapsed() >= Duration::from_millis(10) {
+        if last_expire.elapsed() >= EXPIRE_INTERVAL {
             last_expire = Instant::now();
-            for msg in switch.expire(now) {
-                send_best_effort(&conn, &msg);
+            for msg in sw.switch.expire(now) {
+                sw.control.send(&msg);
             }
         }
 
         // Keepalive probes and liveness.
-        if let Some(active) = &conn {
-            if last_echo.elapsed() >= config.echo_interval {
-                last_echo = Instant::now();
-                xid = xid.wrapping_add(1);
-                let _ = active.send(&OfMessage::new(
-                    Xid(xid),
-                    OfBody::EchoRequest(bytes::Bytes::new()),
-                ));
-            }
-            if active.idle_for() >= config.liveness_timeout {
-                counters.record_keepalive_timeout();
-                active.close();
-                conn = None;
-            }
-        }
-        for dev in &mut devices {
-            if let Some(active) = &dev.conn {
-                if dev.last_echo.elapsed() >= config.echo_interval {
-                    dev.last_echo = Instant::now();
-                    xid = xid.wrapping_add(1);
-                    let _ = active.send(&OfMessage::new(
-                        Xid(xid),
-                        OfBody::EchoRequest(bytes::Bytes::new()),
-                    ));
-                }
-                if active.idle_for() >= config.liveness_timeout {
-                    counters.record_keepalive_timeout();
-                    active.close();
-                    dev.conn = None;
-                }
-            }
+        sw.control.keepalive(&sw.config, &sw.counters, &mut sw.xid);
+        for dev in &mut sw.devices {
+            dev.chan.keepalive(&sw.config, &sw.counters, &mut sw.xid);
         }
 
         // Telemetry snapshot (drives dashboards and the example binary).
         let dt = last_util_at.elapsed().as_secs_f64();
-        if dt >= 0.05 {
+        if dt >= UTIL_INTERVAL.as_secs_f64() {
             datapath_util = (busy_accum / dt).min(1.0);
             busy_accum = 0.0;
             last_util_at = Instant::now();
-            *flow_rules.lock() = switch
+            *flow_rules.lock() = sw
+                .switch
                 .table
                 .iter()
                 .map(|e| (e.of_match, e.priority, e.cookie))
                 .collect();
         }
-        *telemetry.lock() = switch.telemetry(datapath_util);
+        *telemetry.lock() = sw.switch.telemetry(datapath_util);
     }
-    switch
+    sw.switch
 }
 
-/// How long the loop may sleep before its next timed duty. Bounded by
-/// `ACCEPT_POLL` because pending TCP dials on the (non-blocking) listeners
-/// have no wake channel.
-fn next_wait(
-    config: &ChannelConfig,
-    conn: &Option<Connection>,
-    devices: &[DeviceSlot],
-    last_echo: Instant,
-    last_expire: Instant,
-    last_util_at: Instant,
-) -> Duration {
-    const ACCEPT_POLL: Duration = Duration::from_millis(25);
-    const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
-    const UTIL_INTERVAL: Duration = Duration::from_millis(50);
-    let mut wait = ACCEPT_POLL;
-    wait = wait.min(EXPIRE_INTERVAL.saturating_sub(last_expire.elapsed()));
-    wait = wait.min(UTIL_INTERVAL.saturating_sub(last_util_at.elapsed()));
-    if conn.is_some() {
-        wait = wait.min(config.echo_interval.saturating_sub(last_echo.elapsed()));
-    }
-    for dev in devices {
-        if !dev.down {
-            wait = wait.min(
-                config
-                    .device_tick_interval
-                    .saturating_sub(dev.last_tick.elapsed()),
-            );
+impl Served {
+    /// Restarts a crashed switch or device whose restart time has come.
+    fn restart_due(&mut self, now: f64) {
+        let due = |at: Option<Instant>| at.is_some_and(|t| Instant::now() >= t);
+        if self.faults.switch_down && due(self.faults.switch_restart_at) {
+            self.faults.switch_down = false;
+            self.faults.switch_restart_at = None;
         }
-        if let Some(at) = dev.restart_at {
-            wait = wait.min(at.saturating_duration_since(Instant::now()));
+        for dev in &mut self.devices {
+            if dev.down && due(dev.restart_at) {
+                dev.down = false;
+                dev.restart_at = None;
+                dev.logic.on_restart(now);
+            }
         }
     }
-    wait
-}
 
-/// Accepts a pending controller dial on the switch listener, runs the
-/// handshake and installs the resulting connection.
-#[allow(clippy::too_many_arguments)]
-fn accept_controller(
-    listener: &TcpListener,
-    switch: &mut Switch,
-    config: &ChannelConfig,
-    counters: &Arc<ChannelCounters>,
-    conn: &mut Option<Connection>,
-    connected_before: &mut bool,
-    last_echo: &mut Instant,
-    waker: &WakeHandle,
-) {
-    if let Ok((mut stream, _)) = listener.accept() {
-        let _ = stream.set_nodelay(true);
-        match handshake::accept(&mut stream, &switch.features(), config) {
-            Ok(residue) => match Connection::spawn_with_waker(
-                stream,
-                config,
-                Arc::clone(counters),
-                residue,
-                Some(waker.clone()),
-            ) {
-                Ok(new_conn) => {
-                    if *connected_before {
-                        counters.record_reconnect();
-                    }
-                    *connected_before = true;
-                    *conn = Some(new_conn);
-                    *last_echo = Instant::now();
+    /// Applies one caller command or session event; `false` on shutdown.
+    fn handle(&mut self, cmd: Cmd, now: f64) -> bool {
+        match cmd {
+            Cmd::Inject(in_port, packet) => {
+                if !self.faults.switch_down && !self.faults.link_drops(in_port) {
+                    self.switch.enqueue(in_port, packet);
                 }
-                Err(_) => counters.record_connect_failure(),
-            },
-            Err(_) => counters.record_connect_failure(),
+            }
+            Cmd::Fault(fault) => apply_live_fault(fault, self),
+            Cmd::Shutdown => return false,
+            Cmd::Connected(peer, key, session) => {
+                let faults = &self.faults;
+                let chan = match peer {
+                    Peer::Controller => {
+                        (!faults.switch_down && !faults.partitioned).then_some(&mut self.control)
+                    }
+                    Peer::Device(index) => self
+                        .devices
+                        .get_mut(index)
+                        .filter(|d| !d.down)
+                        .map(|d| &mut d.chan),
+                };
+                match chan {
+                    Some(chan) => chan.connect(key, session, &self.counters),
+                    // Its handshake finished while the switch or device was
+                    // down: refused like the dial itself.
+                    None => session.close(),
+                }
+            }
+            Cmd::Inbound(Peer::Controller, key, msg) => {
+                if self.control.is_current(key) {
+                    let (forwards, replies) = self.switch.handle_message(msg, now);
+                    route_forwards(forwards, &mut self.devices, &mut self.faults, now);
+                    for reply in replies {
+                        self.control.send(&reply);
+                    }
+                }
+            }
+            Cmd::Inbound(Peer::Device(index), key, msg) => {
+                if let Some(dev) = self.devices.get_mut(index) {
+                    if !dev.down && dev.chan.is_current(key) {
+                        let mut out = DeviceOutput::new();
+                        dev.logic.on_message(msg, now, &mut out);
+                        for up in out.to_controller {
+                            dev.chan.send(&up);
+                        }
+                    }
+                }
+            }
+            Cmd::Closed(peer, key) => {
+                let chan = match peer {
+                    Peer::Controller => Some(&mut self.control),
+                    Peer::Device(index) => self.devices.get_mut(index).map(|d| &mut d.chan),
+                };
+                if let Some(chan) = chan.filter(|c| c.is_current(key)) {
+                    chan.live = None;
+                }
+            }
         }
+        true
+    }
+
+    /// How long the loop may sleep before its next timed duty.
+    fn next_wait(&self, last_expire: Instant, last_util_at: Instant) -> Duration {
+        let until = |at: Option<Instant>| {
+            at.map_or(Duration::MAX, |t| {
+                t.saturating_duration_since(Instant::now())
+            })
+        };
+        let mut wait = EXPIRE_INTERVAL
+            .saturating_sub(last_expire.elapsed())
+            .min(UTIL_INTERVAL.saturating_sub(last_util_at.elapsed()))
+            .min(self.control.until_echo(&self.config))
+            .min(until(self.faults.switch_restart_at));
+        for dev in &self.devices {
+            if !dev.down {
+                let tick = self.config.device_tick_interval;
+                wait = wait.min(tick.saturating_sub(dev.last_tick.elapsed()));
+            }
+            wait = wait
+                .min(dev.chan.until_echo(&self.config))
+                .min(until(dev.restart_at));
+        }
+        wait
     }
 }
 
@@ -672,23 +736,16 @@ fn route_forwards(
             }
             let mut out = DeviceOutput::new();
             dev.logic.on_packet(packet, now, &mut out);
-            if let Some(active) = &dev.conn {
-                for up in out.to_controller {
-                    let _ = active.send(&up);
-                }
+            for up in out.to_controller {
+                dev.chan.send(&up);
             }
         }
     }
 }
 
 /// Applies one injected [`Fault`] to the live endpoint's state.
-fn apply_live_fault(
-    fault: Fault,
-    switch: &mut Switch,
-    conn: &mut Option<Connection>,
-    devices: &mut [DeviceSlot],
-    faults: &mut FaultState,
-) {
+fn apply_live_fault(fault: Fault, sw: &mut Served) {
+    let faults = &mut sw.faults;
     match fault {
         Fault::LinkDown { port, .. } => {
             faults.links_down.insert(port);
@@ -707,25 +764,21 @@ fn apply_live_fault(
         }
         Fault::ControlPartition { .. } => {
             faults.partitioned = true;
-            if let Some(active) = conn.take() {
-                active.close();
-            }
+            sw.control.close();
         }
         Fault::ControlHeal { .. } => {
             faults.partitioned = false;
         }
         Fault::SwitchCrash { restart_after, .. } => {
-            switch.crash();
+            sw.switch.crash();
             faults.switch_down = true;
             faults.switch_restart_at = restart_after
                 .is_finite()
                 .then(|| Instant::now() + Duration::from_secs_f64(restart_after.max(0.0)));
-            if let Some(active) = conn.take() {
-                active.close();
-            }
+            sw.control.close();
         }
         Fault::DeviceCrash { dev, restart_after } => {
-            if let Some(slot) = devices.get_mut(dev.0) {
+            if let Some(slot) = sw.devices.get_mut(dev.0) {
                 slot.logic.on_crash();
                 slot.down = true;
                 slot.restart_at = restart_after
@@ -736,15 +789,5 @@ fn apply_live_fault(
         // The stall is a controller-side fault; the switch endpoint has
         // nothing to stall.
         Fault::ControllerStall { .. } => {}
-    }
-}
-
-/// Sends on the connection if one is up; backpressure and closure both
-/// drop the frame (the counters record each backpressure rejection).
-fn send_best_effort(conn: &Option<Connection>, msg: &OfMessage) {
-    if let Some(active) = conn {
-        match active.send(msg) {
-            Ok(()) | Err(SendError::Backpressure) | Err(SendError::Closed) => {}
-        }
     }
 }

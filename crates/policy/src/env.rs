@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// A versioned map of global variables.
@@ -12,7 +10,7 @@ use crate::value::Value;
 /// Every mutation bumps the version; FloodGuard's application tracker polls
 /// the version to decide when proactive flow rules must be regenerated
 /// (paper §IV-D "Handling Dynamics").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Env {
     globals: BTreeMap<String, Value>,
     version: u64,

@@ -189,7 +189,7 @@ fn main() {
     let ops_addr = ops_server.local_addr();
     println!("controller: {controller_addr}\nops:        http://{ops_addr}");
 
-    // A sidecar keeps the Prometheus gauges fresh and probes the ops
+    // A sidecar keeps the Prometheus metrics fresh and probes the ops
     // surface mid-run, while the swarm saturates the main thread.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let publisher = {

@@ -11,7 +11,7 @@ use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::sys;
 
@@ -36,6 +36,9 @@ struct ReactorState {
     next_token: u64,
     timers: BTreeMap<(Instant, u64), Waker>,
     next_timer: u64,
+    /// The timer deadline the sleeping reactor will wake for by itself;
+    /// `None` while it is awake (it re-reads the timers before sleeping).
+    sleeps_until: Option<Instant>,
 }
 
 struct SourceShared {
@@ -63,6 +66,7 @@ impl ReactorShared {
                 next_token: 0,
                 timers: BTreeMap::new(),
                 next_timer: 0,
+                sleeps_until: None,
             }),
             shutdown: AtomicBool::new(false),
         }))
@@ -78,15 +82,20 @@ impl ReactorShared {
         self.interrupt();
     }
 
-    /// Inserts a timer; returns its id for later update/removal.
+    /// Inserts a timer; returns its id for later update/removal. The
+    /// sleeping reactor is interrupted only when it would otherwise sleep
+    /// past `deadline`, so re-arming the same wake-up costs no syscall.
     pub(crate) fn insert_timer(&self, deadline: Instant, waker: Waker) -> u64 {
         let mut st = self.state.lock().unwrap();
         let id = st.next_timer;
         st.next_timer += 1;
         st.timers.insert((deadline, id), waker);
-        let is_front = st.timers.keys().next().map(|k| k.1) == Some(id);
+        let sleeps_past = st.sleeps_until.is_some_and(|at| deadline < at);
+        if sleeps_past {
+            st.sleeps_until = Some(deadline);
+        }
         drop(st);
-        if is_front {
+        if sleeps_past {
             self.interrupt();
         }
         id
@@ -113,24 +122,24 @@ impl ReactorShared {
                 break;
             }
             let timeout_ms = {
-                let st = self.state.lock().unwrap();
-                match st.timers.keys().next() {
-                    Some(&(deadline, _)) => {
-                        let now = Instant::now();
-                        if deadline <= now {
-                            0
-                        } else {
-                            // Round up so timers never fire early; cap so a
-                            // missed interrupt cannot stall shutdown long.
-                            let ms = deadline
-                                .saturating_duration_since(now)
-                                .as_millis()
-                                .saturating_add(1);
-                            ms.min(1000) as i32
-                        }
+                let mut st = self.state.lock().unwrap();
+                let now = Instant::now();
+                let front = st.timers.keys().next().map(|&(deadline, _)| deadline);
+                // Round up so timers never fire early; cap so a missed
+                // interrupt cannot stall shutdown long.
+                let ms = front.map_or(1000, |deadline| {
+                    if deadline <= now {
+                        0
+                    } else {
+                        deadline
+                            .saturating_duration_since(now)
+                            .as_millis()
+                            .saturating_add(1)
+                            .min(1000) as i32
                     }
-                    None => 1000,
-                }
+                });
+                st.sleeps_until = Some(front.unwrap_or(now + Duration::from_millis(1000)));
+                ms
             };
             let n = match sys::epoll_pwait(self.epfd.as_raw_fd(), &mut events, timeout_ms) {
                 Ok(n) => n,
@@ -141,6 +150,7 @@ impl ReactorShared {
             let now = Instant::now();
             {
                 let mut st = self.state.lock().unwrap();
+                st.sleeps_until = None;
                 let live = st.timers.split_off(&(now, u64::MAX));
                 let expired = std::mem::replace(&mut st.timers, live);
                 due.extend(expired.into_values());

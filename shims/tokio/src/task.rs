@@ -22,6 +22,21 @@ where
     Handle::current().spawn(future)
 }
 
+/// Yields once to the scheduler: the current task is re-queued behind the
+/// tasks already ready to run.
+pub async fn yield_now() {
+    let mut yielded = false;
+    std::future::poll_fn(|cx| {
+        if yielded {
+            return Poll::Ready(());
+        }
+        yielded = true;
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    })
+    .await
+}
+
 /// The spawned task panicked before completing.
 #[derive(Debug)]
 pub struct JoinError(());

@@ -1,11 +1,11 @@
 //! Regression test for idle CPU burn in the live transport.
 //!
 //! Both endpoints used to wake on a fixed 1 ms poll even with no traffic,
-//! which burned most of a core per idle connection pair. The serving loops
-//! are now event-driven (connection-reader wake channels on the switch
-//! side, an epoll reactor on the controller side), so an idle pair should
-//! cost a small fraction of one core: timed duties (echo keepalive,
-//! telemetry snapshots, expiry sweeps) still fire, but nothing spins.
+//! which burned most of a core per idle connection pair. Both now serve
+//! their connections as tasks on an epoll reactor and sleep until the
+//! next event or timed duty, so an idle pair should cost a small fraction
+//! of one core: timed duties (echo keepalive, telemetry snapshots, expiry
+//! sweeps) still fire, but nothing spins.
 //!
 //! The test lives in its own file so the measured process contains only
 //! this scenario's threads.

@@ -11,7 +11,7 @@
 //! machines without being tuned to them.
 
 use std::collections::HashSet;
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use controller::apps;
@@ -24,6 +24,34 @@ use netsim::{Fault, SwitchId, SwitchProfile};
 use ofchannel::{handshake, ChannelConfig, ControllerConfig, ControllerEndpoint, SwitchEndpoint};
 use ofproto::messages::FeaturesReply;
 use ofproto::types::{DatapathId, MacAddr, PortNo};
+
+/// A one-worker runtime for the hand-rolled peers below.
+fn small_runtime() -> tokio::runtime::Runtime {
+    tokio::runtime::Builder::new_multi_thread()
+        .worker_threads(1)
+        .build()
+        .unwrap()
+}
+
+/// A fake controller: dials `addr` and completes the controller side of
+/// the handshake. The stream stays registered with the returned runtime.
+fn dial_as_controller(
+    addr: SocketAddr,
+) -> (
+    tokio::runtime::Runtime,
+    tokio::net::TcpStream,
+    FeaturesReply,
+) {
+    let rt = small_runtime();
+    let (stream, features) = rt.block_on(async {
+        let mut stream = tokio::net::TcpStream::connect(addr).await.unwrap();
+        let (features, _residue) = handshake::initiate(&mut stream, &ChannelConfig::default())
+            .await
+            .unwrap();
+        (stream, features)
+    });
+    (rt, stream, features)
+}
 
 /// Polls `probe` until it returns true or `deadline` elapses.
 fn wait_for(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
@@ -133,17 +161,23 @@ fn controller_survives_mid_stream_disconnect() {
     // A hand-rolled switch: completes one handshake, drops the session,
     // then accepts and holds a second one.
     let server = std::thread::spawn(move || {
-        let cfg = ChannelConfig::default();
-        let (mut first, _) = listener.accept().unwrap();
-        handshake::accept(&mut first, &features, &cfg).unwrap();
-        drop(first); // mid-stream disconnect
+        small_runtime().block_on(async move {
+            let listener = tokio::net::TcpListener::from_std(listener).unwrap();
+            let cfg = ChannelConfig::default();
+            let (mut first, _) = listener.accept().await.unwrap();
+            handshake::accept(&mut first, &features, &cfg)
+                .await
+                .unwrap();
+            drop(first); // mid-stream disconnect
 
-        let (mut second, _) = listener.accept().unwrap();
-        handshake::accept(&mut second, &features, &cfg).unwrap();
-        // Hold the session open until the controller shuts down.
-        let mut sink = [0u8; 512];
-        use std::io::Read;
-        while matches!(second.read(&mut sink), Ok(n) if n > 0) {}
+            let (mut second, _) = listener.accept().await.unwrap();
+            handshake::accept(&mut second, &features, &cfg)
+                .await
+                .unwrap();
+            // Hold the session open until the controller shuts down.
+            let mut sink = [0u8; 512];
+            while matches!(second.read(&mut sink).await, Ok(n) if n > 0) {}
+        });
     });
 
     let controller = ControllerEndpoint::spawn(
@@ -176,8 +210,7 @@ fn flood_fills_bounded_send_queue() {
 
     // A fake controller that handshakes and then never reads again: the
     // kernel buffers fill, the writer blocks, the queue overflows.
-    let mut stream = TcpStream::connect(endpoint.switch_addr()).unwrap();
-    let (features, _residue) = handshake::initiate(&mut stream, &ChannelConfig::default()).unwrap();
+    let (_rt, stream, features) = dial_as_controller(endpoint.switch_addr());
     assert_eq!(features.datapath_id, DatapathId(1));
 
     // Large distinct-flow packets: every one is a miss, and once the 512
@@ -207,10 +240,8 @@ fn garbage_after_handshake_counts_decode_error() {
     let switch = Switch::new(DatapathId(1), SwitchProfile::software(), vec![1]);
     let endpoint = SwitchEndpoint::spawn(switch, Vec::new(), ChannelConfig::default()).unwrap();
 
-    let mut stream = TcpStream::connect(endpoint.switch_addr()).unwrap();
-    let _ = handshake::initiate(&mut stream, &ChannelConfig::default()).unwrap();
-    use std::io::Write;
-    stream.write_all(&[0xde; 64]).unwrap();
+    let (rt, mut stream, _) = dial_as_controller(endpoint.switch_addr());
+    rt.block_on(stream.write_all(&[0xde; 64])).unwrap();
 
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -220,8 +251,7 @@ fn garbage_after_handshake_counts_decode_error() {
     );
 
     // The listener is still serving: a well-behaved controller gets in.
-    let mut second = TcpStream::connect(endpoint.switch_addr()).unwrap();
-    let (features, _) = handshake::initiate(&mut second, &ChannelConfig::default()).unwrap();
+    let (_rt, _second, features) = dial_as_controller(endpoint.switch_addr());
     assert_eq!(features.datapath_id, DatapathId(1));
 }
 

@@ -1,15 +1,15 @@
 //! Integration tests for the live operations surface (`ops`) against the
 //! async controller endpoint (`ofchannel`).
 //!
-//! These are the deployment-shaped checks: a blocking legacy switch
-//! completing its handshake against the async listener, the Prometheus and
+//! These are the deployment-shaped checks: a hand-rolled switch completing
+//! its handshake against the async listener, the Prometheus and
 //! status endpoints answering while a connection swarm is live, and the
 //! REST admin API steering a running FloodGuard deployment — blocklists
 //! dropping a flooder's packet_ins before they reach the controller apps,
 //! and threshold updates applied by the live telemetry tick.
 
 use std::io::Write;
-use std::net::{Ipv4Addr, TcpStream};
+use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
 use controller::apps;
@@ -59,11 +59,12 @@ fn quiet_detection() -> DetectionConfig {
     }
 }
 
-/// A legacy blocking switch — plain `std::net` plus the synchronous
-/// handshake — interoperates with the async listener, and its packet_ins
-/// are counted by the shared transport counters.
+/// A hand-rolled switch — the switch side of the handshake, then raw
+/// frames over a plain `std::net` socket — interoperates with the async
+/// listener, and its packet_ins are counted by the shared transport
+/// counters.
 #[test]
-fn blocking_switch_interops_with_async_listener() {
+fn raw_socket_switch_interops_with_async_listener() {
     let fg = floodguard_controller(quiet_detection());
     let controller = ControllerEndpoint::listen(
         Box::new(fg),
@@ -73,23 +74,36 @@ fn blocking_switch_interops_with_async_listener() {
     .unwrap();
     let addr = controller.local_addr().unwrap();
 
-    let mut stream = TcpStream::connect(addr).unwrap();
     let features = FeaturesReply {
         datapath_id: DatapathId(42),
         n_buffers: 64,
         n_tables: 1,
         ports: vec![PortNo::Physical(1)],
     };
-    handshake::accept(&mut stream, &features, &ChannelConfig::default()).unwrap();
+    let rt = tokio::runtime::Builder::new_multi_thread()
+        .worker_threads(1)
+        .build()
+        .unwrap();
+    let handshaken = rt.block_on(async {
+        let mut stream = tokio::net::TcpStream::connect(addr).await.unwrap();
+        handshake::accept(&mut stream, &features, &ChannelConfig::default())
+            .await
+            .unwrap();
+        stream
+    });
+    // From here on a plain blocking socket speaks the wire format.
+    let mut stream = handshaken.try_clone_std().unwrap();
+    stream.set_nonblocking(false).unwrap();
+    drop(handshaken);
 
     assert!(
         wait_for(Duration::from_secs(10), || {
             controller.status().connected_switches == vec![DatapathId(42)]
         }),
-        "async listener never registered the blocking switch"
+        "async listener never registered the raw-socket switch"
     );
 
-    // One table-miss packet_in over the blocking socket reaches the
+    // One table-miss packet_in over the plain socket reaches the
     // control plane's frame counters.
     let pkt = Packet::udp(
         MacAddr::from_u64(0xaa),
@@ -115,7 +129,7 @@ fn blocking_switch_interops_with_async_listener() {
         wait_for(Duration::from_secs(10), || {
             controller.counters().frames_in >= 1
         }),
-        "packet_in from the blocking switch never arrived"
+        "packet_in from the raw-socket switch never arrived"
     );
     drop(stream);
 }
@@ -179,7 +193,7 @@ fn ops_surface_serves_while_swarm_is_live() {
     chan_obs.publish(&view.counters());
     let metrics = ops::client::get(ops_addr, "/metrics").unwrap();
     assert_eq!(metrics.status, 200);
-    assert!(metrics.body.contains("# TYPE controller_frames_in gauge"));
+    assert!(metrics.body.contains("# TYPE controller_frames_in counter"));
     let status = ops::client::get(ops_addr, "/api/status").unwrap();
     assert_eq!(status.status, 200);
     assert!(
